@@ -10,16 +10,17 @@ counts as aliasing-free, with exact floating-point <=.
 from __future__ import annotations
 
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridError, SingularityError
 from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams
+from .imaging import CELL_BLOCK, _run_blocks
 from .wavefield import exclusion_radius
 
-CELL_BLOCK = 8192
+# Element evaluations one lattice line costs in _kmax_lines; see _mask_kernel.
+LINE_COST = 12
 
 AliasingVerdict = namedtuple("AliasingVerdict", ["per_axis", "ok"])
 
@@ -100,13 +101,10 @@ class AliasingMask:
         return out & ~self.excluded
 
 
-def _kmax_layers(array: ArrayGeometry, cells: np.ndarray, scatterer: np.ndarray,
-                 k: float, eps: float, threads: int):
-    """Max |k_axis| per cell for each sampled lattice axis, plus exclusion flags.
-
-    Loops over elements (vectorized over cells) so each element's distance
-    field is shared by all axis projections.
-    """
+def _element_terms(array: ArrayGeometry, cells: np.ndarray, scatterer: np.ndarray,
+                   eps: float):
+    """Inputs both mask kernels share: elements, sampled axes, per-element
+    scatterer projections pu[ja] and per-cell axis coordinates cax[ja]."""
     elements = array.element_positions()
     axes_idx = array.sampled_axes()
     units = [array.axes[j] for j in axes_idx]
@@ -115,38 +113,182 @@ def _kmax_layers(array: ArrayGeometry, cells: np.ndarray, scatterer: np.ndarray,
     if np.any(d_s <= eps):
         raise SingularityError("scatterer within the exclusion radius of an array element")
     pu = [(ds_vec @ u) / d_s for u in units]
+    cax = [cells @ u for u in units]
+    return elements, axes_idx, units, pu, cax
 
+
+def _distance(e: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """|e - c| per cell; e is one element (d,) or one element per cell (n, d)."""
+    diff = e - c
+    dist = np.einsum("ij,ij->i", diff, diff)
+    return np.sqrt(dist, out=dist)
+
+
+def _fold_axis(best: np.ndarray, e_u, c_u: np.ndarray, dt: np.ndarray, pu_e) -> None:
+    """best = max(best, |k_axis| / k) for one element (or one element per cell).
+
+    e_u and c_u are the element and cell coordinates on the axis, pu_e the
+    element's scatterer term; both kernels fold through this one expression so
+    an element yields the same bits whichever kernel evaluates it.
+    """
+    k_axis = e_u - c_u
+    k_axis /= dt
+    k_axis -= pu_e
+    np.maximum(best, np.abs(k_axis, out=k_axis), out=best)
+
+
+def _kmax_layers(array: ArrayGeometry, cells: np.ndarray, scatterer: np.ndarray,
+                 k: float, eps: float, threads: int):
+    """Max |k_axis| per cell for each sampled lattice axis, plus exclusion flags.
+
+    Exhaustive reference kernel: loops over elements (vectorized over cells)
+    so each element's distance field is shared by all axis projections.
+    """
+    elements, axes_idx, units, pu, cax = _element_terms(array, cells, scatterer, eps)
     n = len(cells)
     kmax = [np.zeros(n) for _ in axes_idx]
     dmin = np.full(n, np.inf)
-    cax = [cells @ u for u in units]
+
+    def worker(start: int) -> None:
+        stop = min(start + CELL_BLOCK, n)
+        c = cells[start:stop]
+        c_u = [ca[start:stop] for ca in cax]
+        near = np.full(stop - start, np.inf)
+        best = [np.zeros(stop - start) for _ in axes_idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for ie, e in enumerate(elements):
+                dt = _distance(e, c)
+                np.minimum(near, dt, out=near)
+                for ja, u in enumerate(units):
+                    _fold_axis(best[ja], float(e @ u), c_u[ja], dt, pu[ja][ie])
+        for ja in range(len(axes_idx)):
+            kmax[ja][start:stop] = best[ja]
+        dmin[start:stop] = near
+
+    _run_blocks(worker, n, threads)
+    return axes_idx, [k * km for km in kmax], dmin
+
+
+def _complement(u: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the directions perpendicular to unit u.
+
+    Distances from a line are taken from these components, without
+    cancellation and exactly 0 for points on an axis-aligned line. Built by
+    hand: an SVD would add about 1 MB of LAPACK workspace to the peak RSS.
+    """
+    if len(u) == 1:
+        return np.empty((0, 1))
+    if len(u) == 2:
+        return np.array([[-u[1], u[0]]])
+    v = np.cross(u, np.eye(3)[np.argmin(np.abs(u))])
+    v /= np.sqrt(v @ v)
+    return np.array([v, np.cross(u, v)])
+
+
+def _line_roots(u_t: np.ndarray, w: np.ndarray, u_s: float, b: float, rs2: float):
+    """Line coordinates x where h_t^(4/3) r_s^2 = h_s^(4/3) r_t^2, per cell.
+
+    u_t and w are the cells' coordinate along the line and offset across it,
+    b = h_s^(4/3) > 0 and rs2 = u_s^2 + h_s^2 describe the scatterer. Solves
+    A x^2 + B x + C = 0 in the cancellation-free form
+    q = -(B + sign(B) sqrt(B^2 - 4AC))/2, roots q/A and C/q; a root that does
+    not exist comes out nan or +-inf. Kept apart from the caller so that its
+    temporaries are freed before the candidates are evaluated.
+    """
+    h2 = np.einsum("ij,ij->i", w, w)
+    a = np.cbrt(h2 * h2)
+    qc = a * rs2 - b * (u_t * u_t + h2)
+    qb = -2.0 * (a * u_s - b * u_t)
+    a -= b
+    q = np.sqrt(np.maximum(qb * qb - 4.0 * a * qc, 0.0))
+    q = -0.5 * (qb + np.copysign(q, qb))
+    return q / a, qc / q
+
+
+def _kmax_lines(array: ArrayGeometry, cells: np.ndarray, scatterer: np.ndarray,
+                k: float, eps: float, threads: int):
+    """Same result as _kmax_layers from a few candidate elements per lattice line.
+
+    On a line through element 0 at o with unit u, an element at line
+    coordinate x gives f(x) = (x - u_t)/r_t - (x - u_s)/r_s, where u_t, u_s
+    are the line coordinates of cell and scatterer and h_t, h_s their
+    distances from the line. f' = h_t^2/r_t^3 - h_s^2/r_s^3 vanishes where
+    h_t^(4/3) r_s^2 = h_s^(4/3) r_t^2, a quadratic in x, so f is monotone
+    between its at most two roots and the line ends. The discrete max of |f|
+    therefore sits at element 0, element N_j-1, or beside a root. A cell on
+    the line (h_t = 0) turns the quadratic into a double root at u_t, where f
+    jumps, so it needs no extra candidate. The nearest element on the line
+    gives dmin, so the array needs at least one sampled axis (_mask_kernel).
+    """
+    elements, axes_idx, units, pu, cax = _element_terms(array, cells, scatterer, eps)
+    # Element by element, as _kmax_layers computes it, so the bits match.
+    eu = [np.array([float(e @ u) for e in elements]) for u in units]
+    index = np.arange(array.num_elements).reshape(array.counts)
+    n = len(cells)
+    kmax = [np.zeros(n) for _ in axes_idx]
+    dmin = np.full(n, np.inf)
+
+    axis_lines = []
+    for ja, (j, u) in enumerate(zip(axes_idx, units)):
+        perp = _complement(u)
+        stride = int(np.prod(array.counts[j + 1:], dtype=np.int64))
+        lines = []
+        for first in np.take(index, 0, axis=j).ravel():
+            o = elements[first]
+            ws = scatterer - o
+            hs2 = float(np.sum((perp @ ws) ** 2))
+            u_s = float(ws @ u)
+            lines.append((int(first), float(o @ u), perp @ o, u_s, np.cbrt(hs2 * hs2),
+                          u_s * u_s + hs2))
+        axis_lines.append((ja, perp, stride, array.counts[j], float(array.spacings[j]),
+                           lines))
 
     def worker(start: int) -> None:
         stop = min(start + CELL_BLOCK, n)
         c = cells[start:stop]
         near = np.full(stop - start, np.inf)
-        best = [np.zeros(stop - start) for _ in axes_idx]
         with np.errstate(divide="ignore", invalid="ignore"):
-            for ie, e in enumerate(elements):
-                diff = e[None, :] - c
-                dt = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                np.minimum(near, dt, out=near)
-                for ja in range(len(axes_idx)):
-                    pt = (float(e @ units[ja]) - cax[ja][start:stop]) / dt
-                    np.maximum(best[ja], np.abs(pt - pu[ja][ie]), out=best[ja])
-        for ja in range(len(axes_idx)):
-            kmax[ja][start:stop] = best[ja]
+            for ja, perp, stride, count, d, lines in axis_lines:
+                c_u = cax[ja][start:stop]
+                c_v = c @ perp.T
+                best = np.zeros(stop - start)
+                for first, o_u, o_v, u_s, b, rs2 in lines:
+                    u_t = c_u - o_u
+                    # With the scatterer on the line (b = 0), f' = h_t^2/r_t^3
+                    # >= 0 apart from the jump at u_s. For cells on the line
+                    # too, f = sign(x - u_t) - sign(x - u_s) is 2 in magnitude
+                    # exactly when an element lies between u_t and u_s, and
+                    # then the neighbour of u_s toward u_t does.
+                    roots = _line_roots(u_t, c_v - o_v, u_s, b, rs2) if b > 0.0 else (u_s,)
+                    for m in (0, count - 1):
+                        g = first + stride * m
+                        _fold_axis(best, eu[ja][g], c_u, _distance(elements[g], c), pu[ja][g])
+                    for root in roots:
+                        # fmax/fmin map nan to -1 and clamp +-inf: a root that
+                        # does not exist lands on an end element.
+                        m0 = np.floor(np.fmin(np.fmax(root / d, -1.0), count)).astype(np.intp)
+                        for m in (m0, m0 + 1):
+                            g = first + stride * np.clip(m, 0, count - 1)
+                            _fold_axis(best, eu[ja][g], c_u, _distance(elements[g], c), pu[ja][g])
+                    if ja == 0:
+                        m = np.clip(np.rint(u_t / d), 0, count - 1).astype(np.intp)
+                        np.minimum(near, _distance(elements[first + stride * m], c), out=near)
+                kmax[ja][start:stop] = best
         dmin[start:stop] = near
 
-    starts = range(0, n, CELL_BLOCK)
-    if threads <= 1:
-        for s in starts:
-            worker(s)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(worker, starts))
-
+    _run_blocks(worker, n, threads)
     return axes_idx, [k * km for km in kmax], dmin
+
+
+def _mask_kernel(array: ArrayGeometry):
+    """The line kernel when its lattice lines are few against its elements.
+
+    A line costs about LINE_COST exhaustive element evaluations (root solve
+    plus seven candidates), so long lines favour it and short ones (linear
+    arrays up to 12 elements, planes up to 24 x 24) the exhaustive scan.
+    """
+    lines = sum(array.num_elements // array.counts[j] for j in array.sampled_axes())
+    return _kmax_lines if 0 < LINE_COST * lines < array.num_elements else _kmax_layers
 
 
 def aliasing_mask(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: WaveParams,
@@ -167,7 +309,8 @@ def aliasing_mask(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: Wave
     layers = []
     dmin_total = np.full(len(cells), np.inf)
     for label, array in (("tx", tx), ("rx", rx)):
-        axes_idx, kmaxes, dmin = _kmax_layers(array, cells, scene.scatterer, k, eps, threads)
+        kernel = _mask_kernel(array)
+        axes_idx, kmaxes, dmin = kernel(array, cells, scene.scatterer, k, eps, threads)
         np.minimum(dmin_total, dmin, out=dmin_total)
         for j, km in zip(axes_idx, kmaxes):
             free = km <= 2.0 * np.pi / array.spacings[j]

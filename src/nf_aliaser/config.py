@@ -70,6 +70,19 @@ def _as_floats(value, where: str, length=None) -> list:
     return out
 
 
+def _as_int(value, where: str) -> int:
+    """A whole number; 64.7 and true are errors, not silently 64 and 1."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _as_ints(value, where: str) -> tuple:
+    items = value if isinstance(value, (list, tuple)) else [value]
+    return tuple(_as_int(v, where) for v in items)
+
+
 def _array_from_section(section, where: str, wavelength: float, role_tag: str) -> ArrayGeometry:
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -79,11 +92,7 @@ def _array_from_section(section, where: str, wavelength: float, role_tag: str) -
         axes = [[float(v) for v in row] for row in axes_raw]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}.axes: expected a list of direction vectors") from exc
-    counts_raw = _require(section, "counts", where)
-    try:
-        counts = tuple(int(c) for c in counts_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.counts: expected integers") from exc
+    counts = _as_ints(_require(section, "counts", where), f"{where}.counts")
     spacings = _as_floats(_require(section, "spacings_lambda", where), f"{where}.spacings_lambda")
     try:
         return ArrayGeometry(
@@ -136,11 +145,7 @@ def resolve_config(data: dict) -> RunConfig:
         raise ConfigError("grid: expected an object")
     gmin = _as_floats(_require(grid_sec, "min", "grid"), "grid.min")
     gmax = _as_floats(_require(grid_sec, "max", "grid"), "grid.max", length=len(gmin))
-    res_raw = _require(grid_sec, "resolution", "grid")
-    try:
-        resolution = tuple(int(r) for r in np.atleast_1d(res_raw))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("grid.resolution: expected integers") from exc
+    resolution = _as_ints(_require(grid_sec, "resolution", "grid"), "grid.resolution")
     try:
         grid = EvalGrid(corner_min=np.asarray(gmin) * wavelength,
                         corner_max=np.asarray(gmax) * wavelength,
@@ -164,6 +169,9 @@ def resolve_config(data: dict) -> RunConfig:
             raise ConfigError(f"thresholds.{key}: unknown threshold")
     thr_values = dict(DEFAULT_THRESHOLDS)
     for key, value in thr_sec.items():
+        if isinstance(DEFAULT_THRESHOLDS[key], int):
+            thr_values[key] = _as_int(value, f"thresholds.{key}")
+            continue
         try:
             thr_values[key] = type(DEFAULT_THRESHOLDS[key])(value)
         except (TypeError, ValueError) as exc:

@@ -74,6 +74,8 @@ class ArrayGeometry:
         d = origin.shape[0]
         if origin.ndim != 1 or d < 1 or d > 3:
             raise GeometryError(f"origin must be a 1-3 component vector, got shape {origin.shape}")
+        if not np.all(np.isfinite(origin)):
+            raise GeometryError(f"origin must be finite, got {origin}")
         if axes.shape[1] != d:
             raise GeometryError(f"axes must have {d} components to match origin, got {axes.shape}")
         n_axes = axes.shape[0]
@@ -113,11 +115,6 @@ class ArrayGeometry:
     def center(self) -> np.ndarray:
         offs = [(c - 1) / 2.0 * s for c, s in zip(self.counts, self.spacings)]
         return self.origin + np.asarray(offs) @ self.axes
-
-    @property
-    def aperture_lengths(self) -> np.ndarray:
-        """Element-to-element extent per lattice axis, (counts-1)*spacing."""
-        return (np.asarray(self.counts) - 1) * self.spacings
 
     def sampled_axes(self) -> tuple:
         """Indices of lattice axes that actually sample space (>= 2 elements)."""
@@ -186,6 +183,8 @@ class EvalGrid:
         d = lo.shape[0]
         if hi.shape != (d,) or len(res) != d:
             raise GridError("corner_min, corner_max and resolution must share one dimensionality")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise GridError(f"grid corners must be finite, got {lo} and {hi}")
         if not np.all(lo < hi):
             raise GridError(f"corner_min must be < corner_max component-wise, got {lo} vs {hi}")
         if any(r < 2 for r in res):
@@ -225,6 +224,3 @@ class EvalGrid:
         idx = np.floor((p - self.corner_min) / self.cell_sizes).astype(int)
         idx = np.clip(idx, 0, np.asarray(self.resolution) - 1)
         return tuple(int(i) for i in idx)
-
-    def flat_index(self, point) -> int:
-        return int(np.ravel_multi_index(self.cell_index(point), self.resolution))

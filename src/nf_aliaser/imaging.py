@@ -15,8 +15,8 @@ from .errors import GeometryError, GridError, SingularityError
 from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams, min_element_distance
 from .wavefield import exclusion_radius
 
-# Cells per work block; fixed so the decomposition (and the output bits) do
-# not depend on the thread count.
+# Cells per work block, shared by every per-cell kernel; fixed so the
+# decomposition (and the output bits) do not depend on the thread count.
 CELL_BLOCK = 8192
 
 
@@ -28,9 +28,6 @@ class ComplexField:
     values: np.ndarray
     excluded: np.ndarray
     meta: dict = field(default_factory=dict)
-
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
 
 
 def _run_blocks(worker, n_cells: int, threads: int) -> None:

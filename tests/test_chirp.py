@@ -14,6 +14,7 @@ from nf_aliaser import (
     local_wavenumber,
     max_spatial_frequency,
 )
+from nf_aliaser import chirp
 from nf_aliaser.geometry import EvalGrid
 
 WAVE = WaveParams(1.0)
@@ -206,3 +207,113 @@ class TestAliasingMask:
         serial = aliasing_mask(FIG1_TX, FIG1_RX, FIG1_SCENE, WAVE, grid)
         threaded = aliasing_mask(FIG1_TX, FIG1_RX, FIG1_SCENE, WAVE, grid, threads=4)
         np.testing.assert_array_equal(serial.combined, threaded.combined)
+
+
+def _rotation(rng, dim):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return q.T
+
+
+def _assert_kernels_agree(array, scatterer, cells):
+    """Line kernel vs the exhaustive reference on explicit cells."""
+    eps = 0.1
+    lines = chirp._kmax_lines(array, cells, np.asarray(scatterer, float), K, eps, 1)
+    exhaustive = chirp._kmax_layers(array, cells, np.asarray(scatterer, float), K, eps, 1)
+    excluded = exhaustive[2] <= eps
+    np.testing.assert_array_equal(lines[2] <= eps, excluded)
+    assert lines[0] == exhaustive[0]
+    for j, k_lines, k_ref in zip(exhaustive[0], lines[1], exhaustive[1]):
+        k_lines, k_ref = k_lines[~excluded], k_ref[~excluded]
+        assert np.max(np.abs(k_lines - k_ref), initial=0.0) <= 1e-11 * K
+        bound = 2.0 * np.pi / array.spacings[j]
+        tie = np.abs(k_ref - bound) <= 1e-11 * K
+        np.testing.assert_array_equal((k_lines <= bound)[~tie], (k_ref <= bound)[~tie])
+    return int((~excluded).sum())
+
+
+class TestLineKernel:
+    def test_random_linear_arrays(self):
+        rng = np.random.default_rng(41)
+        for trial in range(24):
+            n = int(rng.integers(2, 401))
+            spacing = rng.uniform(0.3, 6.0)
+            # Every third array is axis-aligned, so cells and scatterer can sit
+            # exactly on its line; the others are oblique.
+            axis = np.array([1.0, 0.0]) if trial % 3 == 0 else _rotation(rng, 2)[0]
+            origin = rng.uniform(-50, 50, 2)
+            arr = build_uniform_array(origin, [axis], [n], [spacing], "transmit")
+            length = (n - 1) * spacing
+            kind = trial % 4
+            if kind == 0:  # on the line's extension
+                scatterer = origin - rng.uniform(1.0, 100.0) * axis
+            elif kind == 1:  # on the line, between two elements
+                scatterer = origin + (int(rng.integers(0, n - 1)) + 0.5) * spacing * axis
+            else:
+                scatterer = origin + rng.uniform(-2, 2, 2) * (length + 20)
+            t = rng.uniform(-0.5 * length - 10, 1.5 * length + 10, 200)
+            cells = np.vstack([
+                origin + rng.uniform(-2, 2, (400, 2)) * (length + 20),
+                origin + t[:, None] * axis,
+                origin + (np.round(2 * t / spacing) / 2 * spacing)[:, None] * axis,
+            ])
+            assert _assert_kernels_agree(arr, scatterer, cells) > 0
+
+    def test_random_planar_lattices(self):
+        rng = np.random.default_rng(43)
+        for trial in range(8):
+            dim = 2 if trial < 5 else 3
+            axes = _rotation(rng, dim)[:2]
+            counts = [int(rng.integers(2, 31)), int(rng.integers(2, 31))]
+            spacings = rng.uniform(0.3, 6.0, 2)
+            origin = rng.uniform(-20, 20, dim)
+            arr = build_uniform_array(origin, axes, counts, spacings, "receive")
+            size = float(np.max((np.asarray(counts) - 1) * spacings)) + 20
+            row = origin + int(rng.integers(0, counts[1])) * spacings[1] * axes[1]
+            scatterer = (row - rng.uniform(1.0, 50.0) * axes[0] if trial % 2
+                         else origin + rng.uniform(-2, 2, dim) * size)
+            t = rng.uniform(-size, 2 * size, 200)
+            cells = np.vstack([origin + rng.uniform(-2, 2, (400, dim)) * size,
+                               row + t[:, None] * axes[0]])
+            assert _assert_kernels_agree(arr, scatterer, cells) > 0
+
+    def test_selection_rule(self):
+        small = build_uniform_array([0.0, 0.0], [[1, 0]], [12], [1.0], "transmit")
+        long_ = build_uniform_array([0.0, 0.0], [[1, 0]], [13], [1.0], "transmit")
+        plane24 = build_uniform_array([0.0, 0.0], [[1, 0], [0, 1]], [24, 24], [1.0, 1.0],
+                                      "transmit")
+        plane25 = build_uniform_array([0.0, 0.0], [[1, 0], [0, 1]], [25, 25], [1.0, 1.0],
+                                      "transmit")
+        single = build_uniform_array([0.0, 0.0], [[1, 0]], [1], [1.0], "transmit")
+        assert chirp._mask_kernel(small) is chirp._kmax_layers
+        assert chirp._mask_kernel(long_) is chirp._kmax_lines
+        assert chirp._mask_kernel(plane24) is chirp._kmax_layers
+        assert chirp._mask_kernel(plane25) is chirp._kmax_lines
+        assert chirp._mask_kernel(single) is chirp._kmax_layers
+
+    @pytest.mark.parametrize("case", ["fig1", "long_array", "both_sides"])
+    def test_mask_bit_identical_to_exhaustive(self, case, monkeypatch):
+        if case == "fig1":
+            tx, rx, scene = FIG1_TX, FIG1_RX, FIG1_SCENE
+            grid = EvalGrid([150.0, 150.0], [1850.0, 1850.0], (255, 255))
+        elif case == "long_array":
+            # 1024 elements at 2 wavelengths, the mask-only bench geometry.
+            tx = build_uniform_array([1000.0 - 1023.0, 0.0], [[1, 0]], [1024], [2.0],
+                                     "transmit")
+            rx = build_uniform_array([0.0, 1000.0 - 1023.0], [[0, 1]], [1024], [2.0],
+                                     "receive")
+            scene = Scene([1000.0, 1000.0])
+            grid = EvalGrid([100.0, 100.0], [1900.0, 1900.0], (128, 128))
+        else:
+            # tx on the exhaustive side, rx on the line side of the rule.
+            tx = build_uniform_array([10.0, 0.0], [[1, 0]], [8], [3.0], "transmit")
+            rx = build_uniform_array([0.0, 10.0], [[0, 1]], [40], [3.0], "receive")
+            scene = Scene([60.0, 70.0])
+            grid = EvalGrid([0.0, 0.0], [150.0, 150.0], (96, 96))
+        mask = aliasing_mask(tx, rx, scene, WAVE, grid)
+        monkeypatch.setattr(chirp, "_mask_kernel", lambda array: chirp._kmax_layers)
+        reference = aliasing_mask(tx, rx, scene, WAVE, grid)
+        np.testing.assert_array_equal(mask.excluded, reference.excluded)
+        for layer, ref in zip(mask.layers, reference.layers):
+            np.testing.assert_array_equal(layer.free, ref.free)
+        np.testing.assert_array_equal(mask.combined, reference.combined)
+        assert 0 < mask.combined.sum() < mask.combined.size

@@ -77,6 +77,34 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="sweep"):
             resolve_config(small_config(outputs=["sweep"]))
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("tx", "counts", [64.7]),
+        ("tx", "counts", [True]),
+        ("rx", "counts", ["8"]),
+        ("grid", "resolution", [16.5, 16]),
+        ("grid", "resolution", [16, False]),
+        ("thresholds", "oversample", 2.9),
+        ("thresholds", "oversample", True),
+    ])
+    def test_fractional_and_boolean_counts_rejected(self, section, key, value):
+        cfg = small_config(thresholds={})
+        cfg[section][key] = value
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}: expected an integer"):
+            resolve_config(cfg)
+
+    def test_whole_float_counts_accepted(self):
+        cfg = small_config(thresholds={"oversample": 4.0})
+        cfg["tx"]["counts"] = [8.0]
+        config = resolve_config(cfg)
+        assert config.tx.counts == (8,)
+        assert config.thresholds.oversample == 4
+
+    def test_non_finite_origin_rejected(self):
+        cfg = json.dumps(small_config()).replace('"origin": [20.0, 0.0]',
+                                                 '"origin": [NaN, 0.0]')
+        with pytest.raises(ConfigError, match=r"tx: origin must be finite"):
+            load_config(cfg)
+
     def test_wavelength_scales_lengths(self):
         cfg = small_config()
         cfg["wave"]["lambda"] = 2.0

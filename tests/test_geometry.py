@@ -145,6 +145,12 @@ def test_bad_counts_and_spacings_rejected():
         build_uniform_array([0, 0], [[1, 0]], [4], [1.0], "emitter")
 
 
+@pytest.mark.parametrize("origin", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0]])
+def test_non_finite_origin_rejected(origin):
+    with pytest.raises(GeometryError, match="finite"):
+        build_uniform_array(origin, [[1, 0]], [4], [1.0], "transmit")
+
+
 def test_geometry_immutable():
     arr = build_uniform_array([0, 0], [[1, 0]], [4], [1.0], "transmit")
     with pytest.raises(ValueError):
@@ -185,6 +191,15 @@ class TestEvalGrid:
             EvalGrid([0.0, 0.0], [1.0, 1.0], (1, 4))
         with pytest.raises(GridError):
             EvalGrid([0.0], [1.0, 1.0], (4, 4))
+
+    @pytest.mark.parametrize("lo, hi", [
+        ([0.0, 0.0], [np.inf, 1.0]),
+        ([-np.inf, 0.0], [1.0, 1.0]),
+        ([np.nan, 0.0], [1.0, 1.0]),
+    ])
+    def test_non_finite_corners_rejected(self, lo, hi):
+        with pytest.raises(GridError, match="finite"):
+            EvalGrid(lo, hi, (4, 4))
 
     def test_num_cells_and_sizes(self):
         grid = EvalGrid([0.0, 0.0], [1.0, 2.0], (4, 8))
