@@ -19,9 +19,6 @@ from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams
 from .imaging import CELL_BLOCK, _run_blocks
 from .wavefield import exclusion_radius
 
-# Element evaluations one lattice line costs in _kmax_lines; see _mask_kernel.
-LINE_COST = 12
-
 AliasingVerdict = namedtuple("AliasingVerdict", ["per_axis", "ok"])
 
 
@@ -141,8 +138,9 @@ def _kmax_layers(array: ArrayGeometry, cells: np.ndarray, scatterer: np.ndarray,
                  k: float, eps: float, threads: int):
     """Max |k_axis| per cell for each sampled lattice axis, plus exclusion flags.
 
-    Exhaustive reference kernel: loops over elements (vectorized over cells)
-    so each element's distance field is shared by all axis projections.
+    Exhaustive reference kernel for _kmax_lines: loops over elements
+    (vectorized over cells) so each element's distance field is shared by all
+    axis projections.
     """
     elements, axes_idx, units, pu, cax = _element_terms(array, cells, scatterer, eps)
     n = len(cells)
@@ -218,7 +216,7 @@ def _kmax_lines(array: ArrayGeometry, cells: np.ndarray, scatterer: np.ndarray,
     therefore sits at element 0, element N_j-1, or beside a root. A cell on
     the line (h_t = 0) turns the quadratic into a double root at u_t, where f
     jumps, so it needs no extra candidate. The nearest element on the line
-    gives dmin, so the array needs at least one sampled axis (_mask_kernel).
+    gives dmin; an array without a sampled axis is its single element.
     """
     elements, axes_idx, units, pu, cax = _element_terms(array, cells, scatterer, eps)
     # Element by element, as _kmax_layers computes it, so the bits match.
@@ -246,7 +244,7 @@ def _kmax_lines(array: ArrayGeometry, cells: np.ndarray, scatterer: np.ndarray,
     def worker(start: int) -> None:
         stop = min(start + CELL_BLOCK, n)
         c = cells[start:stop]
-        near = np.full(stop - start, np.inf)
+        near = _distance(elements[0], c) if not axis_lines else np.full(stop - start, np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             for ja, perp, stride, count, d, lines in axis_lines:
                 c_u = cax[ja][start:stop]
@@ -280,17 +278,6 @@ def _kmax_lines(array: ArrayGeometry, cells: np.ndarray, scatterer: np.ndarray,
     return axes_idx, [k * km for km in kmax], dmin
 
 
-def _mask_kernel(array: ArrayGeometry):
-    """The line kernel when its lattice lines are few against its elements.
-
-    A line costs about LINE_COST exhaustive element evaluations (root solve
-    plus seven candidates), so long lines favour it and short ones (linear
-    arrays up to 12 elements, planes up to 24 x 24) the exhaustive scan.
-    """
-    lines = sum(array.num_elements // array.counts[j] for j in array.sampled_axes())
-    return _kmax_lines if 0 < LINE_COST * lines < array.num_elements else _kmax_layers
-
-
 def aliasing_mask(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: WaveParams,
                   grid: EvalGrid, epsilon=None, threads: int = 1) -> AliasingMask:
     """Aliasing-free mask over a grid for both arrays.
@@ -309,8 +296,7 @@ def aliasing_mask(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: Wave
     layers = []
     dmin_total = np.full(len(cells), np.inf)
     for label, array in (("tx", tx), ("rx", rx)):
-        kernel = _mask_kernel(array)
-        axes_idx, kmaxes, dmin = kernel(array, cells, scene.scatterer, k, eps, threads)
+        axes_idx, kmaxes, dmin = _kmax_lines(array, cells, scene.scatterer, k, eps, threads)
         np.minimum(dmin_total, dmin, out=dmin_total)
         for j, km in zip(axes_idx, kmaxes):
             free = km <= 2.0 * np.pi / array.spacings[j]

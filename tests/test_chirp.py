@@ -276,21 +276,15 @@ class TestLineKernel:
                                row + t[:, None] * axes[0]])
             assert _assert_kernels_agree(arr, scatterer, cells) > 0
 
-    def test_selection_rule(self):
-        small = build_uniform_array([0.0, 0.0], [[1, 0]], [12], [1.0], "transmit")
-        long_ = build_uniform_array([0.0, 0.0], [[1, 0]], [13], [1.0], "transmit")
-        plane24 = build_uniform_array([0.0, 0.0], [[1, 0], [0, 1]], [24, 24], [1.0, 1.0],
-                                      "transmit")
-        plane25 = build_uniform_array([0.0, 0.0], [[1, 0], [0, 1]], [25, 25], [1.0, 1.0],
-                                      "transmit")
-        single = build_uniform_array([0.0, 0.0], [[1, 0]], [1], [1.0], "transmit")
-        assert chirp._mask_kernel(small) is chirp._kmax_layers
-        assert chirp._mask_kernel(long_) is chirp._kmax_lines
-        assert chirp._mask_kernel(plane24) is chirp._kmax_layers
-        assert chirp._mask_kernel(plane25) is chirp._kmax_lines
-        assert chirp._mask_kernel(single) is chirp._kmax_layers
+    def test_single_element_array(self):
+        # No sampled axis: no layer, and dmin is the distance to the element.
+        arr = build_uniform_array([3.0, -2.0], [[1, 0]], [1], [1.0], "transmit")
+        rng = np.random.default_rng(47)
+        cells = np.vstack([rng.uniform(-10, 10, (300, 2)), [[3.0, -2.0], [3.05, -2.0]]])
+        _assert_kernels_agree(arr, [20.0, 5.0], cells)
+        assert chirp._kmax_lines(arr, cells, np.array([20.0, 5.0]), K, 0.1, 1)[2][-2] == 0.0
 
-    @pytest.mark.parametrize("case", ["fig1", "long_array", "both_sides"])
+    @pytest.mark.parametrize("case", ["fig1", "long_array", "short_arrays"])
     def test_mask_bit_identical_to_exhaustive(self, case, monkeypatch):
         if case == "fig1":
             tx, rx, scene = FIG1_TX, FIG1_RX, FIG1_SCENE
@@ -304,13 +298,13 @@ class TestLineKernel:
             scene = Scene([1000.0, 1000.0])
             grid = EvalGrid([100.0, 100.0], [1900.0, 1900.0], (128, 128))
         else:
-            # tx on the exhaustive side, rx on the line side of the rule.
+            # A short linear tx and a single-element rx with no sampled axis.
             tx = build_uniform_array([10.0, 0.0], [[1, 0]], [8], [3.0], "transmit")
-            rx = build_uniform_array([0.0, 10.0], [[0, 1]], [40], [3.0], "receive")
+            rx = build_uniform_array([0.0, 10.0], [[0, 1]], [1], [3.0], "receive")
             scene = Scene([60.0, 70.0])
             grid = EvalGrid([0.0, 0.0], [150.0, 150.0], (96, 96))
         mask = aliasing_mask(tx, rx, scene, WAVE, grid)
-        monkeypatch.setattr(chirp, "_mask_kernel", lambda array: chirp._kmax_layers)
+        monkeypatch.setattr(chirp, "_kmax_lines", chirp._kmax_layers)
         reference = aliasing_mask(tx, rx, scene, WAVE, grid)
         np.testing.assert_array_equal(mask.excluded, reference.excluded)
         for layer, ref in zip(mask.layers, reference.layers):
