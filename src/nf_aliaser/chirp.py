@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GridError, SingularityError
 from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams
-from .imaging import CELL_BLOCK, _run_blocks
+from .imaging import CELL_BLOCK, _run_blocks, _scatterer_distances
 from .wavefield import exclusion_radius
 
 AliasingVerdict = namedtuple("AliasingVerdict", ["per_axis", "ok"])
@@ -102,13 +102,10 @@ def _element_terms(array: ArrayGeometry, cells: np.ndarray, scatterer: np.ndarra
                    eps: float):
     """Inputs both mask kernels share: elements, sampled axes, per-element
     scatterer projections pu[ja] and per-cell axis coordinates cax[ja]."""
-    elements = array.element_positions()
+    elements, d_s = _scatterer_distances(array, scatterer, eps)
     axes_idx = array.sampled_axes()
     units = [array.axes[j] for j in axes_idx]
     ds_vec = elements - scatterer[None, :]
-    d_s = np.linalg.norm(ds_vec, axis=-1)
-    if np.any(d_s <= eps):
-        raise SingularityError("scatterer within the exclusion radius of an array element")
     pu = [(ds_vec @ u) / d_s for u in units]
     cax = [cells @ u for u in units]
     return elements, axes_idx, units, pu, cax

@@ -8,24 +8,16 @@ resolved dictionary so the output manifest echoes the complete configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams
+from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams, whole_numbers
 
 OUTPUT_KINDS = ("image", "partial_tx", "partial_rx", "mask", "spectrum", "sweep")
 SWEEP_PARAMS = ("spacing", "length", "range", "dimensionality")
-
-DEFAULT_THRESHOLDS = {
-    "epsilon_lambda": 0.1,
-    "floor_db": -40.0,
-    "support_db": -20.0,
-    "oracle_ratio": 0.5,
-    "oversample": 8,
-}
 
 
 @dataclass(frozen=True)
@@ -54,154 +46,151 @@ class RunConfig:
     resolved: dict
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"{where}.{key}: missing required field")
-    return section[key]
+def _converter(convert, expected: str):
+    """Parser applying `convert`; its TypeError/ValueError names the key."""
+    def parse(value, where: str):
+        try:
+            return convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: expected {expected}, got {value!r}") from exc
+    return parse
 
 
-def _as_floats(value, where: str, length=None) -> list:
-    try:
-        out = [float(v) for v in np.atleast_1d(value)]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: expected numbers, got {value!r}") from exc
-    if length is not None and len(out) != length:
-        raise ConfigError(f"{where}: expected {length} components, got {len(out)}")
-    return out
+_number = _converter(float, "a number")
+_numbers = _converter(lambda v: [float(x) for x in np.atleast_1d(v)], "numbers")
+_vectors = _converter(lambda v: [[float(x) for x in row] for row in v],
+                      "a list of direction vectors")
 
 
 def _as_int(value, where: str) -> int:
-    """A whole number; 64.7 and true are errors, not silently 64 and 1."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (isinstance(value, float) and not value.is_integer())):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return int(value)
+    return whole_numbers([value], ConfigError, where)[0]
 
 
 def _as_ints(value, where: str) -> tuple:
-    items = value if isinstance(value, (list, tuple)) else [value]
-    return tuple(_as_int(v, where) for v in items)
+    return whole_numbers(value, ConfigError, where)
 
 
-def _array_from_section(section, where: str, wavelength: float, role_tag: str) -> ArrayGeometry:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}: expected an object")
-    origin = _as_floats(_require(section, "origin", where), f"{where}.origin")
-    axes_raw = _require(section, "axes", where)
+def _wavelength(value, where: str) -> float:
+    wavelength = _number(value, where)
+    if wavelength <= 0 or not np.isfinite(wavelength):
+        raise ConfigError(f"{where}: must be positive, got {wavelength}")
+    return wavelength
+
+
+def _list(value, where: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{where}: must be a non-empty list")
+    return tuple(value)
+
+
+def _outputs(value, where: str) -> tuple:
+    outputs = tuple(str(o) for o in _list(value, where))
+    for o in outputs:
+        if o not in OUTPUT_KINDS:
+            raise ConfigError(f"{where}: unknown product {o!r}; expected one of {OUTPUT_KINDS}")
+    return outputs
+
+
+def _sweep_param(value, where: str) -> str:
+    param = str(value)
+    if param not in SWEEP_PARAMS:
+        raise ConfigError(f"{where}: must be one of {SWEEP_PARAMS}, got {param!r}")
+    return param
+
+
+def _section(raw, section: str) -> dict:
+    """Parse one config object by its SCHEMA rows.
+
+    Unknown keys are rejected; an absent or null key takes its default.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section or 'top level'}: expected an object")
+    rows = {key: (parser, default) for sec, key, parser, default in SCHEMA if sec == section}
+    prefix = f"{section}." if section else ""
+    for key in raw:
+        if key not in rows:
+            raise ConfigError(f"{prefix}{key}: unknown key")
+    parsed = {}
+    for key, (parser, default) in rows.items():
+        value = raw.get(key)
+        if value is None:
+            if default is REQUIRED:
+                raise ConfigError(f"{prefix}{key}: missing required field")
+            value = default
+        parsed[key] = None if value is None else parser(value, prefix + key)
+    return parsed
+
+
+REQUIRED = object()
+_ARRAY_KEYS = (("origin", _numbers), ("axes", _vectors), ("counts", _as_ints),
+               ("spacings_lambda", _numbers))
+
+# (section, key, parser, default or REQUIRED): every key a config may hold.
+# Section "" is the top level, whose object-valued keys are sections.
+SCHEMA = (
+    ("", "wave", _section, {}),
+    ("", "tx", _section, REQUIRED),
+    ("", "rx", _section, REQUIRED),
+    ("", "scene", _section, REQUIRED),
+    ("", "grid", _section, REQUIRED),
+    ("", "outputs", _outputs, REQUIRED),
+    ("", "thresholds", _section, {}),
+    ("", "sweep", _section, None),
+    ("wave", "lambda", _wavelength, 1.0),
+    *((role, key, parser, REQUIRED) for role in ("tx", "rx") for key, parser in _ARRAY_KEYS),
+    ("scene", "scatterer", _numbers, REQUIRED),
+    ("scene", "reflectivity_re", _number, 1.0),
+    ("scene", "reflectivity_im", _number, 0.0),
+    ("grid", "min", _numbers, REQUIRED),
+    ("grid", "max", _numbers, REQUIRED),
+    ("grid", "resolution", _as_ints, REQUIRED),
+    *(("thresholds", f.name, _as_int if isinstance(f.default, int) else _number, f.default)
+      for f in fields(Thresholds)),
+    ("sweep", "param", _sweep_param, REQUIRED),
+    ("sweep", "values", _list, REQUIRED),
+)
+
+
+def _build(where: str, cls, **kwargs):
     try:
-        axes = [[float(v) for v in row] for row in axes_raw]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.axes: expected a list of direction vectors") from exc
-    counts = _as_ints(_require(section, "counts", where), f"{where}.counts")
-    spacings = _as_floats(_require(section, "spacings_lambda", where), f"{where}.spacings_lambda")
-    try:
-        return ArrayGeometry(
-            origin=np.asarray(origin) * wavelength,
-            axes=np.asarray(axes),
-            counts=counts,
-            spacings=np.asarray(spacings) * wavelength,
-            role_tag=role_tag,
-        )
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _array(section: dict, where: str, wavelength: float, role_tag: str) -> ArrayGeometry:
+    return _build(where, ArrayGeometry, origin=np.asarray(section["origin"]) * wavelength,
+                  axes=section["axes"], counts=section["counts"],
+                  spacings=np.asarray(section["spacings_lambda"]) * wavelength,
+                  role_tag=role_tag)
+
+
 def resolve_config(data: dict) -> RunConfig:
     """Validate a configuration dictionary and apply recorded defaults."""
-    if not isinstance(data, dict):
-        raise ConfigError("top level: expected a JSON object")
+    cfg = _section(data, "")
+    wavelength = cfg["wave"]["lambda"]
+    tx = _array(cfg["tx"], "tx", wavelength, "transmit")
+    rx = _array(cfg["rx"], "rx", wavelength, "receive")
+    sc = cfg["scene"]
+    scene = _build("scene", Scene, scatterer=np.asarray(sc["scatterer"]) * wavelength,
+                   reflectivity=complex(sc["reflectivity_re"], sc["reflectivity_im"]))
+    gr = cfg["grid"]
+    grid = _build("grid", EvalGrid, corner_min=np.asarray(gr["min"]) * wavelength,
+                  corner_max=np.asarray(gr["max"]) * wavelength, resolution=gr["resolution"])
 
-    wave_sec = data.get("wave", {})
-    if not isinstance(wave_sec, dict):
-        raise ConfigError("wave: expected an object")
-    try:
-        wavelength = float(wave_sec.get("lambda", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("wave.lambda: expected a number") from exc
-    if wavelength <= 0 or not np.isfinite(wavelength):
-        raise ConfigError(f"wave.lambda: must be positive, got {wavelength}")
-    wave = WaveParams(wavelength=wavelength)
-
-    tx = _array_from_section(_require(data, "tx", "top level"), "tx", wavelength, "transmit")
-    rx = _array_from_section(_require(data, "rx", "top level"), "rx", wavelength, "receive")
-
-    scene_sec = _require(data, "scene", "top level")
-    if not isinstance(scene_sec, dict):
-        raise ConfigError("scene: expected an object")
-    scatterer = _as_floats(_require(scene_sec, "scatterer", "scene"), "scene.scatterer")
-    try:
-        refl_re = float(scene_sec.get("reflectivity_re", 1.0))
-        refl_im = float(scene_sec.get("reflectivity_im", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("scene.reflectivity_re/_im: expected numbers") from exc
-    try:
-        scene = Scene(scatterer=np.asarray(scatterer) * wavelength,
-                      reflectivity=complex(refl_re, refl_im))
-    except ValueError as exc:
-        raise ConfigError(f"scene: {exc}") from exc
-
-    grid_sec = _require(data, "grid", "top level")
-    if not isinstance(grid_sec, dict):
-        raise ConfigError("grid: expected an object")
-    gmin = _as_floats(_require(grid_sec, "min", "grid"), "grid.min")
-    gmax = _as_floats(_require(grid_sec, "max", "grid"), "grid.max", length=len(gmin))
-    resolution = _as_ints(_require(grid_sec, "resolution", "grid"), "grid.resolution")
-    try:
-        grid = EvalGrid(corner_min=np.asarray(gmin) * wavelength,
-                        corner_max=np.asarray(gmax) * wavelength,
-                        resolution=resolution)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-    outputs_raw = _require(data, "outputs", "top level")
-    if not isinstance(outputs_raw, (list, tuple)) or not outputs_raw:
-        raise ConfigError("outputs: must be a non-empty list of products")
-    outputs = tuple(str(o) for o in outputs_raw)
-    for o in outputs:
-        if o not in OUTPUT_KINDS:
-            raise ConfigError(f"outputs: unknown product {o!r}; expected one of {OUTPUT_KINDS}")
-
-    thr_sec = data.get("thresholds", {})
-    if not isinstance(thr_sec, dict):
-        raise ConfigError("thresholds: expected an object")
-    for key in thr_sec:
-        if key not in DEFAULT_THRESHOLDS:
-            raise ConfigError(f"thresholds.{key}: unknown threshold")
-    thr_values = dict(DEFAULT_THRESHOLDS)
-    for key, value in thr_sec.items():
-        if isinstance(DEFAULT_THRESHOLDS[key], int):
-            thr_values[key] = _as_int(value, f"thresholds.{key}")
-            continue
-        try:
-            thr_values[key] = type(DEFAULT_THRESHOLDS[key])(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"thresholds.{key}: expected a number") from exc
-    if thr_values["epsilon_lambda"] <= 0:
+    thr = cfg["thresholds"]
+    if thr["epsilon_lambda"] <= 0:
         raise ConfigError("thresholds.epsilon_lambda: must be positive")
-    if thr_values["floor_db"] >= 0 or thr_values["support_db"] >= 0:
+    if thr["floor_db"] >= 0 or thr["support_db"] >= 0:
         raise ConfigError("thresholds.floor_db and thresholds.support_db must be negative")
-    if thr_values["oracle_ratio"] <= 0:
+    if thr["oracle_ratio"] <= 0:
         raise ConfigError("thresholds.oracle_ratio: must be positive")
-    if thr_values["oversample"] < 1:
+    if thr["oversample"] < 1:
         raise ConfigError("thresholds.oversample: must be >= 1")
-    thresholds = Thresholds(**thr_values)
 
-    sweep_param = None
-    sweep_values = None
-    sweep_sec = data.get("sweep")
-    if "sweep" in outputs:
-        if not isinstance(sweep_sec, dict):
-            raise ConfigError("sweep: section required when outputs include 'sweep'")
-    if sweep_sec is not None:
-        if not isinstance(sweep_sec, dict):
-            raise ConfigError("sweep: expected an object")
-        sweep_param = str(_require(sweep_sec, "param", "sweep"))
-        if sweep_param not in SWEEP_PARAMS:
-            raise ConfigError(f"sweep.param: must be one of {SWEEP_PARAMS}, got {sweep_param!r}")
-        values_raw = _require(sweep_sec, "values", "sweep")
-        if not isinstance(values_raw, (list, tuple)) or not values_raw:
-            raise ConfigError("sweep.values: must be a non-empty list")
-        sweep_values = tuple(values_raw)
+    outputs, sweep = cfg["outputs"], cfg["sweep"]
+    if "sweep" in outputs and sweep is None:
+        raise ConfigError("sweep: section required when outputs include 'sweep'")
 
     resolved = {
         "wave": {"lambda": wavelength},
@@ -214,14 +203,15 @@ def resolve_config(data: dict) -> RunConfig:
                  "max": [v / wavelength for v in grid.corner_max],
                  "resolution": list(grid.resolution)},
         "outputs": list(outputs),
-        "thresholds": thr_values,
+        "thresholds": thr,
     }
-    if sweep_param is not None:
+    sweep_param, sweep_values = (sweep["param"], sweep["values"]) if sweep else (None, None)
+    if sweep is not None:
         resolved["sweep"] = {"param": sweep_param, "values": list(sweep_values)}
 
-    return RunConfig(wave=wave, tx=tx, rx=rx, scene=scene, grid=grid, outputs=outputs,
-                     thresholds=thresholds, sweep_param=sweep_param,
-                     sweep_values=sweep_values, resolved=resolved)
+    return RunConfig(wave=WaveParams(wavelength=wavelength), tx=tx, rx=rx, scene=scene,
+                     grid=grid, outputs=outputs, thresholds=Thresholds(**thr),
+                     sweep_param=sweep_param, sweep_values=sweep_values, resolved=resolved)
 
 
 def _echo_array(array: ArrayGeometry, wavelength: float) -> dict:

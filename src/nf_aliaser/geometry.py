@@ -23,6 +23,22 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def whole_numbers(values, error: type, what: str) -> tuple:
+    """A number or a list of numbers as a tuple of ints.
+
+    Integers and whole floats such as 8.0 pass; booleans, fractions and
+    non-numbers raise error, so that 64.7 and true are refused instead of
+    silently becoming 64 and 1.
+    """
+    items = tuple(values) if isinstance(values, (list, tuple, np.ndarray)) else (values,)
+    for v in items:
+        if isinstance(v, (bool, np.bool_)) or not (
+                isinstance(v, (int, np.integer))
+                or isinstance(v, (float, np.floating)) and v.is_integer()):
+            raise error(f"{what}: expected an integer, got {v!r}")
+    return tuple(int(v) for v in items)
+
+
 @dataclass(frozen=True)
 class WaveParams:
     """Narrowband wave; every length in the package shares its unit."""
@@ -69,7 +85,7 @@ class ArrayGeometry:
         origin = _readonly(np.atleast_1d(self.origin))
         axes = np.atleast_2d(np.asarray(self.axes, dtype=float))
         spacings = _readonly(np.atleast_1d(self.spacings))
-        counts = tuple(int(c) for c in np.atleast_1d(self.counts))
+        counts = whole_numbers(self.counts, GeometryError, "counts")
 
         d = origin.shape[0]
         if origin.ndim != 1 or d < 1 or d > 3:
@@ -179,7 +195,7 @@ class EvalGrid:
     def __post_init__(self):
         lo = _readonly(np.atleast_1d(self.corner_min))
         hi = _readonly(np.atleast_1d(self.corner_max))
-        res = tuple(int(r) for r in np.atleast_1d(self.resolution))
+        res = whole_numbers(self.resolution, GridError, "resolution")
         d = lo.shape[0]
         if hi.shape != (d,) or len(res) != d:
             raise GridError("corner_min, corner_max and resolution must share one dimensionality")

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError, GridError, SingularityError
-from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams, min_element_distance
+from .errors import GridError, SingularityError
+from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams
 from .wavefield import exclusion_radius
 
 # Cells per work block, shared by every per-cell kernel; fixed so the
@@ -40,11 +40,48 @@ def _run_blocks(worker, n_cells: int, threads: int) -> None:
             list(pool.map(worker, starts))
 
 
-def _check_clearance(array: ArrayGeometry, scene: Scene, eps: float) -> None:
-    if min_element_distance(array, scene.scatterer) <= eps:
+def _scatterer_distances(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
+    """Element positions and their distances to the scatterer.
+
+    Raises SingularityError when the scatterer lies within the exclusion
+    radius of an element.
+    """
+    elements = array.element_positions()
+    d_s = np.linalg.norm(elements - scatterer[None, :], axis=-1)
+    if np.any(d_s <= eps):
         raise SingularityError(
             f"scatterer lies within the exclusion radius {eps:.6g} of a {array.role_tag} element"
         )
+    return elements, d_s
+
+
+def _chirp_sum(elements: np.ndarray, d_s: np.ndarray, k: float, points: np.ndarray):
+    """Partial-image chirp sum at each point and the nearest-element distance.
+
+    Accumulates sequentially in lattice-element order, so a point gets the
+    same bits whichever block of points it is evaluated in.
+    """
+    acc = np.zeros(len(points), dtype=np.complex128)
+    near = np.full(len(points), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for e, ds in zip(elements, d_s):
+            diff = points - e[None, :]
+            dt = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            np.minimum(near, dt, out=near)
+            acc += np.exp(1j * k * (dt - ds)) / (dt * ds)
+    return acc, near
+
+
+def _field(grid: EvalGrid, values: np.ndarray, dmin: np.ndarray, eps: float,
+           meta: dict) -> ComplexField:
+    """Zero and flag the cells within eps of an element, shaped as the grid."""
+    excluded = dmin <= eps
+    if excluded.all():
+        raise GridError("every grid cell lies within the exclusion radius of an element")
+    values[excluded] = 0.0
+    shape = grid.resolution
+    return ComplexField(grid=grid, values=values.reshape(shape),
+                        excluded=excluded.reshape(shape), meta=meta)
 
 
 def partial_image_at(array: ArrayGeometry, points, scene: Scene, wave: WaveParams,
@@ -57,21 +94,13 @@ def partial_image_at(array: ArrayGeometry, points, scene: Scene, wave: WaveParam
     radius of an element.
     """
     eps = exclusion_radius(wave, epsilon)
-    _check_clearance(array, scene, eps)
+    elements, d_s = _scatterer_distances(array, scene.scatterer, eps)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    elements = array.element_positions()
-    k = wave.wavenumber
-    d_s = np.linalg.norm(elements - scene.scatterer[None, :], axis=-1)
-
-    acc = np.zeros(len(pts), dtype=np.complex128)
-    for e, ds in zip(elements, d_s):
-        diff = pts - e[None, :]
-        dt = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        if np.any(dt <= eps):
-            raise SingularityError(
-                "tentative point within the exclusion radius of an array element"
-            )
-        acc += np.exp(1j * k * (dt - ds)) / (dt * ds)
+    acc, near = _chirp_sum(elements, d_s, wave.wavenumber, pts)
+    if np.any(near <= eps):
+        raise SingularityError(
+            "tentative point within the exclusion radius of an array element"
+        )
     return acc
 
 
@@ -83,46 +112,23 @@ def partial_image(array: ArrayGeometry, scene: Scene, wave: WaveParams, grid: Ev
     carry the value 0.
     """
     eps = exclusion_radius(wave, epsilon)
-    if array.num_elements < 1:
-        raise GeometryError("array has no elements")
-    _check_clearance(array, scene, eps)
+    elements, d_s = _scatterer_distances(array, scene.scatterer, eps)
     if grid.ndim != array.ndim:
         raise GridError(f"grid dimensionality {grid.ndim} != array dimensionality {array.ndim}")
 
     cells = grid.cell_centers()
-    elements = array.element_positions()
-    k = wave.wavenumber
-    d_s = np.linalg.norm(elements - scene.scatterer[None, :], axis=-1)
-
-    values = np.zeros(len(cells), dtype=np.complex128)
-    dmin = np.full(len(cells), np.inf)
+    values = np.empty(len(cells), dtype=np.complex128)
+    dmin = np.empty(len(cells))
 
     def worker(start: int) -> None:
-        stop = min(start + CELL_BLOCK, len(cells))
-        c = cells[start:stop]
-        acc = np.zeros(stop - start, dtype=np.complex128)
-        near = np.full(stop - start, np.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for e, ds in zip(elements, d_s):
-                diff = c - e[None, :]
-                dt = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                np.minimum(near, dt, out=near)
-                acc += np.exp(1j * k * (dt - ds)) / (dt * ds)
-        values[start:stop] = acc
-        dmin[start:stop] = near
+        block = slice(start, min(start + CELL_BLOCK, len(cells)))
+        values[block], dmin[block] = _chirp_sum(elements, d_s, wave.wavenumber, cells[block])
 
     _run_blocks(worker, len(cells), threads)
-
-    excluded = dmin <= eps
-    if excluded.all():
-        raise GridError("every grid cell lies within the exclusion radius of an element")
-    values[excluded] = 0.0
-    shape = grid.resolution
     meta = {"product": "partial_image", "role": array.role_tag,
             "scatterer": tuple(scene.scatterer), "wavelength": wave.wavelength,
             "epsilon": eps, "normalized": False}
-    return ComplexField(grid=grid, values=values.reshape(shape),
-                        excluded=excluded.reshape(shape), meta=meta)
+    return _field(grid, values, dmin, eps, meta)
 
 
 def bistatic_image(tx_field: ComplexField, rx_field: ComplexField,
@@ -155,18 +161,14 @@ def direct_image(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: WaveP
     accumulation is sequential in (tx-element, rx-element) lattice order.
     """
     eps = exclusion_radius(wave, epsilon)
-    _check_clearance(tx, scene, eps)
-    _check_clearance(rx, scene, eps)
+    et, dst = _scatterer_distances(tx, scene.scatterer, eps)
+    er, dsr = _scatterer_distances(rx, scene.scatterer, eps)
     if grid.ndim != tx.ndim or grid.ndim != rx.ndim:
         raise GridError("grid and arrays must share one dimensionality")
 
     cells = grid.cell_centers()
-    et = tx.element_positions()
-    er = rx.element_positions()
     k = wave.wavenumber
     zeta = scene.reflectivity
-    dst = np.linalg.norm(et - scene.scatterer[None, :], axis=-1)
-    dsr = np.linalg.norm(er - scene.scatterer[None, :], axis=-1)
     z_t = np.exp(-1j * k * dst) / dst
     z_r = np.exp(-1j * k * dsr) / dsr
 
@@ -197,16 +199,9 @@ def direct_image(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: WaveP
         dmin[start:stop] = near
 
     _run_blocks(worker, len(cells), threads)
-
-    excluded = dmin <= eps
-    if excluded.all():
-        raise GridError("every grid cell lies within the exclusion radius of an element")
-    values[excluded] = 0.0
-    shape = grid.resolution
     meta = {"product": "direct_image", "scatterer": tuple(scene.scatterer),
             "wavelength": wave.wavelength, "epsilon": eps, "normalized": False}
-    return ComplexField(grid=grid, values=values.reshape(shape),
-                        excluded=excluded.reshape(shape), meta=meta)
+    return _field(grid, values, dmin, eps, meta)
 
 
 def magnitude_db(field_: ComplexField, floor_db: float) -> np.ndarray:

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chirp import aliasing_mask
-from .config import RunConfig, SWEEP_PARAMS
+from .chirp import AliasingMask, aliasing_mask
+from .config import RunConfig, SWEEP_PARAMS, _as_int
 from .errors import ConfigError
 from .geometry import ArrayGeometry, Scene
 from .imaging import bistatic_image, partial_image
@@ -49,20 +49,24 @@ def _recentered(array: ArrayGeometry, axes: np.ndarray, counts: tuple,
 
 
 def _sweep_variant(config: RunConfig, param: str, value):
-    """Derived (tx, rx, scene, label) for one sweep value."""
+    """Derived (tx, rx, scene, label) for one sweep value.
+
+    Spacing and length sweeps leave lattice axes with a single element as
+    they are.
+    """
     tx, rx, scene = config.tx, config.rx, config.scene
     wl = config.wave.wavelength
 
     if param == "spacing":
-        n = int(value)
+        n = _as_int(value, "sweep spacing value")
         if n < 2:
             raise ConfigError(f"sweep spacing value must be >= 2 antennas, got {value!r}")
 
         def rebuild(a: ArrayGeometry) -> ArrayGeometry:
-            lengths = np.asarray(a.counts) * a.spacings
-            counts = tuple(n for _ in a.counts)
-            spacings = lengths / n
-            return _recentered(a, a.axes, counts, spacings)
+            counts, spacings = list(a.counts), list(a.spacings)
+            for j in a.sampled_axes():
+                counts[j], spacings[j] = n, a.counts[j] * a.spacings[j] / n
+            return _recentered(a, a.axes, tuple(counts), np.asarray(spacings))
 
         return rebuild(tx), rebuild(rx), scene, f"N{n}"
 
@@ -70,21 +74,20 @@ def _sweep_variant(config: RunConfig, param: str, value):
         if isinstance(value, dict):
             try:
                 length = float(value["length_lambda"]) * wl
-                n = int(value["count"])
+                count = value["count"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(
                     f"sweep length value needs length_lambda and count, got {value!r}") from exc
+            n = _as_int(count, "sweep length count")
         else:
             length = float(value) * wl
             n = None
 
         def rebuild(a: ArrayGeometry) -> ArrayGeometry:
-            counts = []
-            spacings = []
-            for c, s in zip(a.counts, a.spacings):
-                cnt = n if n is not None else max(int(round(length / s)), 2)
-                counts.append(cnt)
-                spacings.append(length / cnt)
+            counts, spacings = list(a.counts), list(a.spacings)
+            for j in a.sampled_axes():
+                counts[j] = n if n is not None else max(int(round(length / spacings[j])), 2)
+                spacings[j] = length / counts[j]
             return _recentered(a, a.axes, tuple(counts), np.asarray(spacings))
 
         label = f"L{length / wl:g}_N{n}" if n is not None else f"L{length / wl:g}"
@@ -99,7 +102,7 @@ def _sweep_variant(config: RunConfig, param: str, value):
         return tx, rx, new_scene, label
 
     if param == "dimensionality":
-        v = int(value)
+        v = _as_int(value, "sweep dimensionality value")
 
         def rebuild(a: ArrayGeometry) -> ArrayGeometry:
             if v < 1 or v > min(3, a.ndim):
@@ -117,14 +120,31 @@ def _sweep_variant(config: RunConfig, param: str, value):
     raise ConfigError(f"unknown sweep parameter {param!r}; expected one of {SWEEP_PARAMS}")
 
 
-def _image_stats(config: RunConfig, tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene,
-                 threads: int):
+def _compute(config: RunConfig, tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene,
+             outputs, threads: int) -> dict:
+    """The fields and the aliasing mask named in `outputs`, by product name.
+
+    The partial images are also computed when only the image needs them, but
+    are returned only when they are requested.
+    """
     eps = config.thresholds.epsilon(config.wave)
-    mask = aliasing_mask(tx, rx, scene, config.wave, config.grid, epsilon=eps,
-                         threads=threads)
-    st = partial_image(tx, scene, config.wave, config.grid, epsilon=eps, threads=threads)
-    sr = partial_image(rx, scene, config.wave, config.grid, epsilon=eps, threads=threads)
-    image = bistatic_image(st, sr, scene.reflectivity)
+    result = {}
+    if "mask" in outputs:
+        result["mask"] = aliasing_mask(tx, rx, scene, config.wave, config.grid, epsilon=eps,
+                                       threads=threads)
+    for name, array in (("partial_tx", tx), ("partial_rx", rx)):
+        if name in outputs or "image" in outputs:
+            result[name] = partial_image(array, scene, config.wave, config.grid, epsilon=eps,
+                                         threads=threads)
+    if "image" in outputs:
+        result["image"] = bistatic_image(result["partial_tx"], result["partial_rx"],
+                                         scene.reflectivity)
+    return {name: product for name, product in result.items() if name in outputs}
+
+
+def _peak_summary(config: RunConfig, computed: dict) -> dict:
+    """Mask size, image peak, and peak-to-artifact ratio outside the mask."""
+    image, mask = computed["image"], computed["mask"]
     mag = np.abs(image.values)
     usable = ~image.excluded
     search = np.where(usable, mag, -1.0)
@@ -137,13 +157,30 @@ def _image_stats(config: RunConfig, tx: ArrayGeometry, rx: ArrayGeometry, scene:
         ratio_db = 20.0 * np.log10(peak_val / mag[outside].max())
     else:
         ratio_db = np.inf
-    row = {
+    return {
         "mask_cells": int(mask.combined.sum()),
         "peak_cell": tuple(int(i) for i in peak_cell),
         "peak_position_lambda": tuple(c / config.wave.wavelength for c in centers),
         "peak_to_artifact_db": float(ratio_db),
     }
-    return mask, image, row
+
+
+def _emit(files: dict, out: Path, name: str, product, config: RunConfig) -> None:
+    """Write name.csv, plus name.pgm on a 2D grid, and record both in files."""
+    is_mask = isinstance(product, AliasingMask)
+    csv_path = out / f"{name}.csv"
+    if is_mask:
+        write_mask_csv(csv_path, name, product.combined, config.grid, config.wave.wavelength)
+    else:
+        write_field_csv(csv_path, name, product, config.wave.wavelength)
+    files[csv_path.name] = csv_path
+    if config.grid.ndim == 2:
+        pgm_path = out / f"{name}.pgm"
+        if is_mask:
+            write_mask_pgm(pgm_path, name, product.combined)
+        else:
+            write_field_pgm(pgm_path, name, product, config.thresholds.floor_db)
+        files[pgm_path.name] = pgm_path
 
 
 def _sweep_products(config: RunConfig, param, values, out_dir, threads: int):
@@ -162,19 +199,10 @@ def _sweep_products(config: RunConfig, param, values, out_dir, threads: int):
     files = {}
     for value in values:
         tx, rx, scene, label = _sweep_variant(config, param, value)
-        mask, image, row = _image_stats(config, tx, rx, scene, threads)
-        row = {"value": label, **row}
-        rows.append(row)
+        computed = _compute(config, tx, rx, scene, ("image", "mask"), threads)
+        rows.append({"value": label, **_peak_summary(config, computed)})
         if out is not None:
-            name = f"mask_{label}"
-            csv_path = out / f"{name}.csv"
-            write_mask_csv(csv_path, name, mask.combined, config.grid,
-                           config.wave.wavelength)
-            files[f"{name}.csv"] = csv_path
-            if config.grid.ndim == 2:
-                pgm_path = out / f"{name}.pgm"
-                write_mask_pgm(pgm_path, name, mask.combined)
-                files[f"{name}.pgm"] = pgm_path
+            _emit(files, out, f"mask_{label}", computed["mask"], config)
     if out is not None:
         summary = out / "sweep_summary.csv"
         write_sweep_csv(summary, rows)
@@ -198,46 +226,12 @@ def run(config: RunConfig, out_dir, threads: int = 1) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     eps = config.thresholds.epsilon(config.wave)
-    floor_db = config.thresholds.floor_db
     wl = config.wave.wavelength
     products = {}
 
-    need_tx = "partial_tx" in config.outputs or "image" in config.outputs
-    need_rx = "partial_rx" in config.outputs or "image" in config.outputs
-    st = sr = None
-    if need_tx:
-        st = partial_image(config.tx, config.scene, config.wave, config.grid,
-                           epsilon=eps, threads=threads)
-    if need_rx:
-        sr = partial_image(config.rx, config.scene, config.wave, config.grid,
-                           epsilon=eps, threads=threads)
-
-    def emit_field(name: str, field) -> None:
-        csv_path = out / f"{name}.csv"
-        write_field_csv(csv_path, name, field, wl)
-        products[f"{name}.csv"] = csv_path
-        if config.grid.ndim == 2:
-            pgm_path = out / f"{name}.pgm"
-            write_field_pgm(pgm_path, name, field, floor_db)
-            products[f"{name}.pgm"] = pgm_path
-
-    if "partial_tx" in config.outputs:
-        emit_field("partial_tx", st)
-    if "partial_rx" in config.outputs:
-        emit_field("partial_rx", sr)
-    if "image" in config.outputs:
-        emit_field("image", bistatic_image(st, sr, config.scene.reflectivity))
-
-    if "mask" in config.outputs:
-        mask = aliasing_mask(config.tx, config.rx, config.scene, config.wave,
-                             config.grid, epsilon=eps, threads=threads)
-        csv_path = out / "mask.csv"
-        write_mask_csv(csv_path, "mask", mask.combined, config.grid, wl)
-        products["mask.csv"] = csv_path
-        if config.grid.ndim == 2:
-            pgm_path = out / "mask.pgm"
-            write_mask_pgm(pgm_path, "mask", mask.combined)
-            products["mask.pgm"] = pgm_path
+    computed = _compute(config, config.tx, config.rx, config.scene, config.outputs, threads)
+    for name, product in computed.items():
+        _emit(products, out, name, product, config)
 
     if "spectrum" in config.outputs:
         # Sampled at the grid center as a representative off-match point.

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from nf_aliaser import ConfigError, load_config, resolve_config, run, sweep
 from nf_aliaser.cli import main
 from nf_aliaser.presets import PRESETS, preset_config
+from nf_aliaser.runner import _sweep_variant
 
 
 def small_config(**overrides):
@@ -72,6 +74,25 @@ class TestLoadConfig:
     def test_unknown_threshold_rejected(self):
         with pytest.raises(ConfigError, match="thresholds"):
             resolve_config(small_config(thresholds={"epsilon": 0.1}))
+
+    @pytest.mark.parametrize("section, key", [
+        ("wave", "lamda"), ("tx", "bogus"), ("rx", "bogus"), ("scene", "bogus"),
+        ("grid", "bogus"), ("thresholds", "epsilon"), ("sweep", "bogus"), (None, "extra"),
+    ])
+    def test_unknown_key_rejected(self, section, key):
+        cfg = small_config(thresholds={}, sweep={"param": "spacing", "values": [4]})
+        (cfg if section is None else cfg[section])[key] = 1
+        name = key if section is None else f"{section}.{key}"
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)}: unknown key"):
+            resolve_config(cfg)
+
+    def test_null_counts_as_absent(self):
+        config = resolve_config(small_config(thresholds=None, sweep=None))
+        assert config.resolved == resolve_config(small_config()).resolved
+        bad = small_config()
+        bad["tx"] = None
+        with pytest.raises(ConfigError, match="tx: missing required field"):
+            resolve_config(bad)
 
     def test_sweep_output_requires_section(self):
         with pytest.raises(ConfigError, match="sweep"):
@@ -227,6 +248,53 @@ class TestSweep:
             sweep(config, "dimensionality", [3])
         with pytest.raises(ConfigError):
             sweep(config, "bandwidth", [1])
+
+    @pytest.mark.parametrize("param, value", [
+        ("spacing", 4.5),
+        ("spacing", True),
+        ("length", {"length_lambda": 4.0, "count": 8.5}),
+        ("dimensionality", True),
+        ("dimensionality", 1.5),
+    ])
+    def test_fractional_and_boolean_values_rejected(self, param, value):
+        config = resolve_config(small_config(outputs=["mask"]))
+        with pytest.raises(ConfigError, match="expected an integer"):
+            sweep(config, param, [value])
+
+    def test_whole_float_values_accepted(self):
+        config = resolve_config(small_config(outputs=["mask"]))
+        assert sweep(config, "spacing", [4.0])[0]["value"] == "N4"
+        assert sweep(config, "dimensionality", [2.0])[0]["value"] == "2d"
+
+    @pytest.mark.parametrize("param, value, count, spacing", [
+        ("spacing", 4, 4, 1.0),
+        ("length", 3.0, 6, 0.5),
+        ("length", {"length_lambda": 3.0, "count": 4}, 4, 0.75),
+    ])
+    def test_single_element_axis_left_alone(self, param, value, count, spacing):
+        cfg = small_config(outputs=["mask"])
+        cfg["tx"].update(axes=[[1.0, 0.0], [0.0, 1.0]], counts=[8, 1],
+                         spacings_lambda=[0.5, 0.25])
+        config = resolve_config(cfg)
+        tx = _sweep_variant(config, param, value)[0]
+        assert tx.counts == (count, 1)
+        assert tx.spacings[0] == pytest.approx(spacing)
+        assert tx.spacings[1] == 0.25
+        np.testing.assert_allclose(tx.center, config.tx.center, atol=1e-12)
+
+    def test_sweep_mask_matches_run_mask(self, tmp_path):
+        cfg = small_config(outputs=["mask"])
+        cfg["tx"]["spacings_lambda"] = cfg["rx"]["spacings_lambda"] = [5.0]
+        config = resolve_config(cfg)
+        run(config, tmp_path / "run")
+        sweep(config, "range", [[40.0, 40.0]], out_dir=tmp_path / "sw")
+        for ext in ("csv", "pgm"):
+            run_mask = (tmp_path / "run" / f"mask.{ext}").read_bytes()
+            sweep_mask = (tmp_path / "sw" / f"mask_pos40_40.{ext}").read_bytes()
+            assert sweep_mask == run_mask.replace(b"nf-aliaser mask\n",
+                                                  b"nf-aliaser mask_pos40_40\n", 1)
+        rows = (tmp_path / "run" / "mask.csv").read_text().splitlines()
+        assert {"0", "1"} <= set(rows)
 
     def test_writes_summary(self, tmp_path):
         config = resolve_config(small_config(outputs=["mask"]))

@@ -145,6 +145,18 @@ def test_bad_counts_and_spacings_rejected():
         build_uniform_array([0, 0], [[1, 0]], [4], [1.0], "emitter")
 
 
+@pytest.mark.parametrize("counts", [[64.7], [True], 8.5, np.array([4.5])])
+def test_fractional_and_boolean_counts_rejected(counts):
+    with pytest.raises(GeometryError, match="counts: expected an integer"):
+        build_uniform_array([0, 0], [[1, 0]], counts, [1.0], "transmit")
+
+
+def test_whole_float_counts_accepted():
+    arr = build_uniform_array([0, 0], [[1, 0], [0, 1]], [8.0, np.int64(3)], [1.0, 1.0],
+                              "transmit")
+    assert arr.counts == (8, 3)
+
+
 @pytest.mark.parametrize("origin", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0]])
 def test_non_finite_origin_rejected(origin):
     with pytest.raises(GeometryError, match="finite"):
@@ -200,6 +212,14 @@ class TestEvalGrid:
     def test_non_finite_corners_rejected(self, lo, hi):
         with pytest.raises(GridError, match="finite"):
             EvalGrid(lo, hi, (4, 4))
+
+    @pytest.mark.parametrize("resolution", [(16.9, 3), (16, True), np.array([4.5, 4.0])])
+    def test_fractional_and_boolean_resolution_rejected(self, resolution):
+        with pytest.raises(GridError, match="resolution: expected an integer"):
+            EvalGrid([0.0, 0.0], [1.0, 1.0], resolution)
+
+    def test_whole_float_resolution_accepted(self):
+        assert EvalGrid([0.0, 0.0], [1.0, 1.0], (16.0, 3)).resolution == (16, 3)
 
     def test_num_cells_and_sizes(self):
         grid = EvalGrid([0.0, 0.0], [1.0, 2.0], (4, 8))

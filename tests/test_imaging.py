@@ -85,6 +85,16 @@ class TestPartialImage:
         vals = partial_image_at(FIG1_TX, pts, FIG1_SCENE, WAVE)
         np.testing.assert_array_equal(vals, field.values.ravel()[[17, 4021, 60002]])
 
+    def test_point_evaluator_matches_planar_grid_in_3d(self):
+        arr = build_uniform_array([-2.0, -1.5, 0.0], [[1, 0, 0], [0, 0.6, 0.8]], [5, 4],
+                                  [1.1, 0.9], "receive")
+        scene = Scene([3.0, 4.0, 12.0])
+        grid = EvalGrid([-6.0, -6.0, -3.0], [6.0, 6.0, 9.0], (5, 6, 7))
+        field = partial_image(arr, scene, WAVE, grid, threads=2)
+        usable = ~field.excluded.ravel()
+        vals = partial_image_at(arr, grid.cell_centers()[usable], scene, WAVE)
+        np.testing.assert_array_equal(vals, field.values.ravel()[usable])
+
     def test_cells_near_elements_are_excluded(self):
         arr = build_uniform_array([0.5, 0.5], [[1, 0]], [2], [1.0], "transmit")
         scene = Scene([50.0, 50.0])
