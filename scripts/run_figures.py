@@ -2,12 +2,16 @@
 """Run every figure preset and write its data products under out/.
 
 Equivalent to `nf-aliaser preset <name>` for each preset; useful as a single
-reproduction entry point.
+reproduction entry point. Each preset's line ends with the sha256 of its
+manifest.json, which holds the sha256 of every product, so comparing those
+fields between two checkouts (for example with `awk '{print $1, $NF}'`) shows
+whether they write byte-identical products.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import time
 from pathlib import Path
 
@@ -27,8 +31,9 @@ def main() -> None:
         start = time.perf_counter()
         manifest = run(config, args.out / name, threads=args.threads)
         elapsed = time.perf_counter() - start
+        digest = hashlib.sha256((args.out / name / "manifest.json").read_bytes()).hexdigest()
         print(f"{name}: {len(manifest['products'])} products in {elapsed:.1f}s "
-              f"-> {args.out / name}")
+              f"-> {args.out / name} manifest sha256 {digest}")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GridError, SingularityError
 from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams
-from .imaging import CELL_BLOCK, _run_blocks, _scatterer_distances
+from .imaging import _distance, _run_blocks, _scatterer_distances
 from .wavefield import exclusion_radius
 
 AliasingVerdict = namedtuple("AliasingVerdict", ["per_axis", "ok"])
@@ -98,24 +98,15 @@ class AliasingMask:
         return out & ~self.excluded
 
 
-def _element_terms(array: ArrayGeometry, cells: np.ndarray, scatterer: np.ndarray,
-                   eps: float):
-    """Inputs both mask kernels share: elements, sampled axes, per-element
-    scatterer projections pu[ja] and per-cell axis coordinates cax[ja]."""
+def _element_terms(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
+    """Inputs both mask kernels share: elements, sampled axes, their unit
+    vectors and per-element scatterer projections pu[ja]."""
     elements, d_s = _scatterer_distances(array, scatterer, eps)
     axes_idx = array.sampled_axes()
     units = [array.axes[j] for j in axes_idx]
     ds_vec = elements - scatterer[None, :]
     pu = [(ds_vec @ u) / d_s for u in units]
-    cax = [cells @ u for u in units]
-    return elements, axes_idx, units, pu, cax
-
-
-def _distance(e: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """|e - c| per cell; e is one element (d,) or one element per cell (n, d)."""
-    diff = e - c
-    dist = np.einsum("ij,ij->i", diff, diff)
-    return np.sqrt(dist, out=dist)
+    return elements, axes_idx, units, pu
 
 
 def _fold_axis(best: np.ndarray, e_u, c_u: np.ndarray, dt: np.ndarray, pu_e) -> None:
@@ -131,37 +122,29 @@ def _fold_axis(best: np.ndarray, e_u, c_u: np.ndarray, dt: np.ndarray, pu_e) -> 
     np.maximum(best, np.abs(k_axis, out=k_axis), out=best)
 
 
-def _kmax_layers(array: ArrayGeometry, cells: np.ndarray, scatterer: np.ndarray,
-                 k: float, eps: float, threads: int):
-    """Max |k_axis| per cell for each sampled lattice axis, plus exclusion flags.
+def _kmax_layers(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
+    """Sampled lattice axes and a kernel(cells) -> (dmin, max |k_axis| / k per
+    sampled axis).
 
     Exhaustive reference kernel for _kmax_lines: loops over elements
     (vectorized over cells) so each element's distance field is shared by all
     axis projections.
     """
-    elements, axes_idx, units, pu, cax = _element_terms(array, cells, scatterer, eps)
-    n = len(cells)
-    kmax = [np.zeros(n) for _ in axes_idx]
-    dmin = np.full(n, np.inf)
+    elements, axes_idx, units, pu = _element_terms(array, scatterer, eps)
 
-    def worker(start: int) -> None:
-        stop = min(start + CELL_BLOCK, n)
-        c = cells[start:stop]
-        c_u = [ca[start:stop] for ca in cax]
-        near = np.full(stop - start, np.inf)
-        best = [np.zeros(stop - start) for _ in axes_idx]
+    def kernel(cells: np.ndarray) -> tuple:
+        c_u = [cells @ u for u in units]
+        near = np.full(len(cells), np.inf)
+        best = [np.zeros(len(cells)) for _ in units]
         with np.errstate(divide="ignore", invalid="ignore"):
             for ie, e in enumerate(elements):
-                dt = _distance(e, c)
+                dt = _distance(e, cells)
                 np.minimum(near, dt, out=near)
                 for ja, u in enumerate(units):
                     _fold_axis(best[ja], float(e @ u), c_u[ja], dt, pu[ja][ie])
-        for ja in range(len(axes_idx)):
-            kmax[ja][start:stop] = best[ja]
-        dmin[start:stop] = near
+        return (near, *best)
 
-    _run_blocks(worker, n, threads)
-    return axes_idx, [k * km for km in kmax], dmin
+    return axes_idx, kernel
 
 
 def _complement(u: np.ndarray) -> np.ndarray:
@@ -200,8 +183,7 @@ def _line_roots(u_t: np.ndarray, w: np.ndarray, u_s: float, b: float, rs2: float
     return q / a, qc / q
 
 
-def _kmax_lines(array: ArrayGeometry, cells: np.ndarray, scatterer: np.ndarray,
-                k: float, eps: float, threads: int):
+def _kmax_lines(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
     """Same result as _kmax_layers from a few candidate elements per lattice line.
 
     On a line through element 0 at o with unit u, an element at line
@@ -215,13 +197,10 @@ def _kmax_lines(array: ArrayGeometry, cells: np.ndarray, scatterer: np.ndarray,
     jumps, so it needs no extra candidate. The nearest element on the line
     gives dmin; an array without a sampled axis is its single element.
     """
-    elements, axes_idx, units, pu, cax = _element_terms(array, cells, scatterer, eps)
+    elements, axes_idx, units, pu = _element_terms(array, scatterer, eps)
     # Element by element, as _kmax_layers computes it, so the bits match.
     eu = [np.array([float(e @ u) for e in elements]) for u in units]
     index = np.arange(array.num_elements).reshape(array.counts)
-    n = len(cells)
-    kmax = [np.zeros(n) for _ in axes_idx]
-    dmin = np.full(n, np.inf)
 
     axis_lines = []
     for ja, (j, u) in enumerate(zip(axes_idx, units)):
@@ -235,18 +214,17 @@ def _kmax_lines(array: ArrayGeometry, cells: np.ndarray, scatterer: np.ndarray,
             u_s = float(ws @ u)
             lines.append((int(first), float(o @ u), perp @ o, u_s, np.cbrt(hs2 * hs2),
                           u_s * u_s + hs2))
-        axis_lines.append((ja, perp, stride, array.counts[j], float(array.spacings[j]),
+        axis_lines.append((ja, u, perp, stride, array.counts[j], float(array.spacings[j]),
                            lines))
 
-    def worker(start: int) -> None:
-        stop = min(start + CELL_BLOCK, n)
-        c = cells[start:stop]
-        near = _distance(elements[0], c) if not axis_lines else np.full(stop - start, np.inf)
+    def kernel(c: np.ndarray) -> tuple:
+        near = _distance(elements[0], c) if not axis_lines else np.full(len(c), np.inf)
+        bests = []
         with np.errstate(divide="ignore", invalid="ignore"):
-            for ja, perp, stride, count, d, lines in axis_lines:
-                c_u = cax[ja][start:stop]
+            for ja, u, perp, stride, count, d, lines in axis_lines:
+                c_u = c @ u
                 c_v = c @ perp.T
-                best = np.zeros(stop - start)
+                best = np.zeros(len(c))
                 for first, o_u, o_v, u_s, b, rs2 in lines:
                     u_t = c_u - o_u
                     # With the scatterer on the line (b = 0), f' = h_t^2/r_t^3
@@ -268,11 +246,10 @@ def _kmax_lines(array: ArrayGeometry, cells: np.ndarray, scatterer: np.ndarray,
                     if ja == 0:
                         m = np.clip(np.rint(u_t / d), 0, count - 1).astype(np.intp)
                         np.minimum(near, _distance(elements[first + stride * m], c), out=near)
-                kmax[ja][start:stop] = best
-        dmin[start:stop] = near
+                bests.append(best)
+        return (near, *bests)
 
-    _run_blocks(worker, n, threads)
-    return axes_idx, [k * km for km in kmax], dmin
+    return axes_idx, kernel
 
 
 def aliasing_mask(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: WaveParams,
@@ -286,17 +263,17 @@ def aliasing_mask(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: Wave
     eps = exclusion_radius(wave, epsilon)
     if grid.ndim != tx.ndim or grid.ndim != rx.ndim:
         raise GridError("grid and arrays must share one dimensionality")
-    cells = grid.cell_centers()
     k = wave.wavenumber
     shape = grid.resolution
 
     layers = []
-    dmin_total = np.full(len(cells), np.inf)
+    dmin_total = np.full(grid.num_cells, np.inf)
     for label, array in (("tx", tx), ("rx", rx)):
-        axes_idx, kmaxes, dmin = _kmax_lines(array, cells, scene.scatterer, k, eps, threads)
+        axes_idx, kernel = _kmax_lines(array, scene.scatterer, eps)
+        dmin, *kmaxes = _run_blocks(kernel, grid, threads)
         np.minimum(dmin_total, dmin, out=dmin_total)
         for j, km in zip(axes_idx, kmaxes):
-            free = km <= 2.0 * np.pi / array.spacings[j]
+            free = k * km <= 2.0 * np.pi / array.spacings[j]
             layers.append(MaskLayer(array_label=label, axis_index=j,
                                     free=free.reshape(shape)))
 

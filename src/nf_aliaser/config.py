@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams, whole_numbers
+from .wavefield import EXCLUSION_FACTOR
 
 OUTPUT_KINDS = ("image", "partial_tx", "partial_rx", "mask", "spectrum", "sweep")
 SWEEP_PARAMS = ("spacing", "length", "range", "dimensionality")
@@ -22,7 +23,7 @@ SWEEP_PARAMS = ("spacing", "length", "range", "dimensionality")
 
 @dataclass(frozen=True)
 class Thresholds:
-    epsilon_lambda: float = 0.1
+    epsilon_lambda: float = EXCLUSION_FACTOR
     floor_db: float = -40.0
     support_db: float = -20.0
     oracle_ratio: float = 0.5
@@ -179,6 +180,9 @@ def resolve_config(data: dict) -> RunConfig:
                   corner_max=np.asarray(gr["max"]) * wavelength, resolution=gr["resolution"])
 
     thr = cfg["thresholds"]
+    for key, value in thr.items():
+        if not np.isfinite(value):
+            raise ConfigError(f"thresholds.{key}: must be finite, got {value}")
     if thr["epsilon_lambda"] <= 0:
         raise ConfigError("thresholds.epsilon_lambda: must be positive")
     if thr["floor_db"] >= 0 or thr["support_db"] >= 0:

@@ -180,8 +180,11 @@ class Scene:
         pos = _readonly(np.atleast_1d(self.scatterer))
         if pos.ndim != 1 or not 1 <= pos.shape[0] <= 3 or not np.all(np.isfinite(pos)):
             raise GeometryError(f"scatterer must be a finite 1-3 component vector, got {self.scatterer}")
+        refl = complex(self.reflectivity)
+        if not np.isfinite(refl):
+            raise GeometryError(f"reflectivity must be finite, got {self.reflectivity}")
         object.__setattr__(self, "scatterer", pos)
-        object.__setattr__(self, "reflectivity", complex(self.reflectivity))
+        object.__setattr__(self, "reflectivity", refl)
 
 
 @dataclass(frozen=True)
@@ -228,11 +231,12 @@ class EvalGrid:
         size = self.cell_sizes[j]
         return self.corner_min[j] + (np.arange(self.resolution[j]) + 0.5) * size
 
-    def cell_centers(self) -> np.ndarray:
-        """All cell centers, (num_cells, d), row-major (first axis slowest)."""
-        axes = [self.axis_centers(j) for j in range(self.ndim)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+    def cell_centers(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Centers of cells start..stop-1 in row-major order (first axis
+        slowest), (stop - start, d); all cells by default."""
+        flat = np.arange(start, self.num_cells if stop is None else stop)
+        index = np.unravel_index(flat, self.resolution)
+        return np.stack([self.axis_centers(j)[i] for j, i in enumerate(index)], axis=-1)
 
     def cell_index(self, point) -> tuple:
         """Multi-index of the cell containing `point` (clipped to the grid)."""

@@ -6,6 +6,7 @@ results are bit-identical no matter how the cell loop is chunked or threaded.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -15,8 +16,8 @@ from .errors import GridError, SingularityError
 from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams
 from .wavefield import exclusion_radius
 
-# Cells per work block, shared by every per-cell kernel; fixed so the
-# decomposition (and the output bits) do not depend on the thread count.
+# Cells per work block of _run_blocks, which runs every per-cell kernel; fixed
+# so the decomposition (and the output bits) do not depend on the thread count.
 CELL_BLOCK = 8192
 
 
@@ -30,14 +31,45 @@ class ComplexField:
     meta: dict = field(default_factory=dict)
 
 
-def _run_blocks(worker, n_cells: int, threads: int) -> None:
-    starts = range(0, n_cells, CELL_BLOCK)
+def _run_blocks(kernel, grid: EvalGrid, threads: int) -> tuple:
+    """Apply kernel(cells) -> tuple of per-cell arrays to the whole grid.
+
+    The grid is cut into row-major blocks of CELL_BLOCK cells whose centers
+    are generated when the block runs, so memory for centers does not grow
+    with the grid. Returns one whole-grid array per kernel output, in
+    row-major order.
+    """
+    n = grid.num_cells
+    outputs = []
+    lock = threading.Lock()
+
+    # The thread that computes a block also writes it out: handing block
+    # results to the calling thread instead raised peak RSS by 1-3 MB at
+    # 2 threads (planar_sweep benchmark).
+    def block(start: int) -> None:
+        stop = min(start + CELL_BLOCK, n)
+        part = kernel(grid.cell_centers(start, stop))
+        with lock:
+            if not outputs:
+                outputs.extend(np.empty(n, dtype=p.dtype) for p in part)
+        for out, p in zip(outputs, part):
+            out[start:stop] = p
+
+    starts = range(0, n, CELL_BLOCK)
     if threads <= 1:
-        for s in starts:
-            worker(s)
+        for start in starts:
+            block(start)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(worker, starts))
+            list(pool.map(block, starts))
+    return tuple(outputs)
+
+
+def _distance(e: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """|e - c| per cell; e is one element (d,) or one element per cell (n, d)."""
+    diff = e - c
+    dist = np.einsum("ij,ij->i", diff, diff)
+    return np.sqrt(dist, out=dist)
 
 
 def _scatterer_distances(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
@@ -65,8 +97,7 @@ def _chirp_sum(elements: np.ndarray, d_s: np.ndarray, k: float, points: np.ndarr
     near = np.full(len(points), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         for e, ds in zip(elements, d_s):
-            diff = points - e[None, :]
-            dt = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            dt = _distance(e, points)
             np.minimum(near, dt, out=near)
             acc += np.exp(1j * k * (dt - ds)) / (dt * ds)
     return acc, near
@@ -116,15 +147,8 @@ def partial_image(array: ArrayGeometry, scene: Scene, wave: WaveParams, grid: Ev
     if grid.ndim != array.ndim:
         raise GridError(f"grid dimensionality {grid.ndim} != array dimensionality {array.ndim}")
 
-    cells = grid.cell_centers()
-    values = np.empty(len(cells), dtype=np.complex128)
-    dmin = np.empty(len(cells))
-
-    def worker(start: int) -> None:
-        block = slice(start, min(start + CELL_BLOCK, len(cells)))
-        values[block], dmin[block] = _chirp_sum(elements, d_s, wave.wavenumber, cells[block])
-
-    _run_blocks(worker, len(cells), threads)
+    values, dmin = _run_blocks(lambda cells: _chirp_sum(elements, d_s, wave.wavenumber, cells),
+                               grid, threads)
     meta = {"product": "partial_image", "role": array.role_tag,
             "scatterer": tuple(scene.scatterer), "wavelength": wave.wavelength,
             "epsilon": eps, "normalized": False}
@@ -166,39 +190,29 @@ def direct_image(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: WaveP
     if grid.ndim != tx.ndim or grid.ndim != rx.ndim:
         raise GridError("grid and arrays must share one dimensionality")
 
-    cells = grid.cell_centers()
     k = wave.wavenumber
     zeta = scene.reflectivity
     z_t = np.exp(-1j * k * dst) / dst
     z_r = np.exp(-1j * k * dsr) / dsr
 
-    values = np.zeros(len(cells), dtype=np.complex128)
-    dmin = np.full(len(cells), np.inf)
-
-    def worker(start: int) -> None:
-        stop = min(start + CELL_BLOCK, len(cells))
-        c = cells[start:stop]
-        nloc = stop - start
-        czt = np.empty((len(et), nloc), dtype=np.complex128)
-        near = np.full(nloc, np.inf)
+    def kernel(cells: np.ndarray) -> tuple:
+        czt = np.empty((len(et), len(cells)), dtype=np.complex128)
+        near = np.full(len(cells), np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             for it, e in enumerate(et):
-                diff = c - e[None, :]
-                dt = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+                dt = _distance(e, cells)
                 np.minimum(near, dt, out=near)
                 czt[it] = np.exp(1j * k * dt) / dt
-            acc = np.zeros(nloc, dtype=np.complex128)
+            acc = np.zeros(len(cells), dtype=np.complex128)
             for it in range(len(et)):
                 for ir, e in enumerate(er):
-                    diff = c - e[None, :]
-                    dr = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+                    dr = _distance(e, cells)
                     np.minimum(near, dr, out=near)
                     u = zeta * z_r[ir] * z_t[it]
                     acc += u * (np.exp(1j * k * dr) / dr) * czt[it]
-        values[start:stop] = acc
-        dmin[start:stop] = near
+        return acc, near
 
-    _run_blocks(worker, len(cells), threads)
+    values, dmin = _run_blocks(kernel, grid, threads)
     meta = {"product": "direct_image", "scatterer": tuple(scene.scatterer),
             "wavelength": wave.wavelength, "epsilon": eps, "normalized": False}
     return _field(grid, values, dmin, eps, meta)
@@ -210,8 +224,8 @@ def magnitude_db(field_: ComplexField, floor_db: float) -> np.ndarray:
     Excluded cells are emitted at floor_db. Raises GridError when the field
     has no usable signal (all cells excluded or zero).
     """
-    if floor_db >= 0:
-        raise GridError(f"floor_db must be negative, got {floor_db}")
+    if not (np.isfinite(floor_db) and floor_db < 0):
+        raise GridError(f"floor_db must be negative and finite, got {floor_db}")
     usable = ~field_.excluded
     if not usable.any():
         raise GridError("field has no non-excluded cells")

@@ -52,7 +52,8 @@ def _sweep_variant(config: RunConfig, param: str, value):
     """Derived (tx, rx, scene, label) for one sweep value.
 
     Spacing and length sweeps leave lattice axes with a single element as
-    they are.
+    they are. A dimensionality sweep keeps the leading axes an array already
+    has; only added axes copy axis 0's count and spacing.
     """
     tx, rx, scene = config.tx, config.rx, config.scene
     wl = config.wave.wavelength
@@ -108,12 +109,12 @@ def _sweep_variant(config: RunConfig, param: str, value):
             if v < 1 or v > min(3, a.ndim):
                 raise ConfigError(
                     f"dimensionality {v} not representable in {a.ndim}D space")
-            axes = [np.asarray(a.axes[0])]
+            axes, counts, spacings = list(a.axes[:v]), list(a.counts[:v]), list(a.spacings[:v])
             while len(axes) < v:
                 axes.append(_perp_axis(axes[0], axes))
-            counts = tuple(a.counts[0] for _ in range(v))
-            spacings = np.asarray([a.spacings[0]] * v)
-            return _recentered(a, np.vstack(axes), counts, spacings)
+                counts.append(a.counts[0])
+                spacings.append(a.spacings[0])
+            return _recentered(a, np.vstack(axes), tuple(counts), np.asarray(spacings))
 
         return rebuild(tx), rebuild(rx), scene, f"{v}d"
 

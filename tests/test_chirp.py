@@ -217,13 +217,15 @@ def _rotation(rng, dim):
 def _assert_kernels_agree(array, scatterer, cells):
     """Line kernel vs the exhaustive reference on explicit cells."""
     eps = 0.1
-    lines = chirp._kmax_lines(array, cells, np.asarray(scatterer, float), K, eps, 1)
-    exhaustive = chirp._kmax_layers(array, cells, np.asarray(scatterer, float), K, eps, 1)
-    excluded = exhaustive[2] <= eps
-    np.testing.assert_array_equal(lines[2] <= eps, excluded)
-    assert lines[0] == exhaustive[0]
-    for j, k_lines, k_ref in zip(exhaustive[0], lines[1], exhaustive[1]):
-        k_lines, k_ref = k_lines[~excluded], k_ref[~excluded]
+    axes_lines, lines = chirp._kmax_lines(array, np.asarray(scatterer, float), eps)
+    axes_ref, exhaustive = chirp._kmax_layers(array, np.asarray(scatterer, float), eps)
+    dmin_lines, *kmax_lines = lines(cells)
+    dmin_ref, *kmax_ref = exhaustive(cells)
+    excluded = dmin_ref <= eps
+    np.testing.assert_array_equal(dmin_lines <= eps, excluded)
+    assert axes_lines == axes_ref
+    for j, k_lines, k_ref in zip(axes_ref, kmax_lines, kmax_ref):
+        k_lines, k_ref = K * k_lines[~excluded], K * k_ref[~excluded]
         assert np.max(np.abs(k_lines - k_ref), initial=0.0) <= 1e-11 * K
         bound = 2.0 * np.pi / array.spacings[j]
         tie = np.abs(k_ref - bound) <= 1e-11 * K
@@ -282,7 +284,7 @@ class TestLineKernel:
         rng = np.random.default_rng(47)
         cells = np.vstack([rng.uniform(-10, 10, (300, 2)), [[3.0, -2.0], [3.05, -2.0]]])
         _assert_kernels_agree(arr, [20.0, 5.0], cells)
-        assert chirp._kmax_lines(arr, cells, np.array([20.0, 5.0]), K, 0.1, 1)[2][-2] == 0.0
+        assert chirp._kmax_lines(arr, np.array([20.0, 5.0]), 0.1)[1](cells)[0][-2] == 0.0
 
     @pytest.mark.parametrize("case", ["fig1", "long_array", "short_arrays"])
     def test_mask_bit_identical_to_exhaustive(self, case, monkeypatch):

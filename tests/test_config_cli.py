@@ -4,10 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from nf_aliaser import ConfigError, load_config, resolve_config, run, sweep
+from nf_aliaser import ConfigError, WaveParams, load_config, resolve_config, run, sweep
 from nf_aliaser.cli import main
+from nf_aliaser.config import Thresholds
 from nf_aliaser.presets import PRESETS, preset_config
 from nf_aliaser.runner import _sweep_variant
+from nf_aliaser.wavefield import exclusion_radius
 
 
 def small_config(**overrides):
@@ -125,6 +127,26 @@ class TestLoadConfig:
                                                  '"origin": [NaN, 0.0]')
         with pytest.raises(ConfigError, match=r"tx: origin must be finite"):
             load_config(cfg)
+
+    @pytest.mark.parametrize("key", ["epsilon_lambda", "floor_db", "support_db",
+                                     "oracle_ratio"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_rejected(self, key, value):
+        text = json.dumps(small_config(thresholds={key: value}))
+        with pytest.raises(ConfigError, match=rf"^thresholds\.{key}: must be finite"):
+            load_config(text)
+
+    @pytest.mark.parametrize("key", ["reflectivity_re", "reflectivity_im"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_reflectivity_rejected(self, key, value):
+        cfg = small_config()
+        cfg["scene"][key] = value
+        with pytest.raises(ConfigError, match=r"^scene: reflectivity must be finite"):
+            load_config(json.dumps(cfg))
+
+    def test_threshold_default_is_exclusion_radius(self):
+        wave = WaveParams(2.5)
+        assert Thresholds().epsilon(wave) == exclusion_radius(wave)
 
     def test_wavelength_scales_lengths(self):
         cfg = small_config()
@@ -282,6 +304,43 @@ class TestSweep:
         assert tx.spacings[1] == 0.25
         np.testing.assert_allclose(tx.center, config.tx.center, atol=1e-12)
 
+    def test_dimensionality_keeps_existing_axes(self):
+        cfg = small_config(outputs=["mask"])
+        cfg["tx"].update(axes=[[1.0, 0.0], [0.0, 1.0]], counts=[64, 8],
+                         spacings_lambda=[2.0, 3.0])
+        config = resolve_config(cfg)
+        tx = _sweep_variant(config, "dimensionality", 2)[0]
+        assert tx.counts == (64, 8)
+        np.testing.assert_array_equal(tx.spacings, [2.0, 3.0])
+        np.testing.assert_array_equal(tx.axes, config.tx.axes)
+        np.testing.assert_array_equal(tx.origin, config.tx.origin)
+        tx = _sweep_variant(config, "dimensionality", 1)[0]
+        assert tx.counts == (64,)
+        np.testing.assert_array_equal(tx.spacings, [2.0])
+        np.testing.assert_array_equal(tx.axes, [[1.0, 0.0]])
+        np.testing.assert_allclose(tx.center, config.tx.center, atol=1e-12)
+        # The linear rx gains an axis that copies its axis 0.
+        rx = _sweep_variant(config, "dimensionality", 2)[1]
+        assert rx.counts == (8, 8)
+        np.testing.assert_array_equal(rx.spacings, [0.5, 0.5])
+
+    def test_dimensionality_adds_only_missing_axes_in_3d(self):
+        cfg = small_config(outputs=["mask"])
+        cfg["tx"] = {"origin": [20.0, 0.0, 0.0], "axes": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                     "counts": [64, 8], "spacings_lambda": [2.0, 3.0]}
+        cfg["rx"] = {"origin": [0.0, 20.0, 0.0], "axes": [[0.0, 1.0, 0.0]], "counts": [8],
+                     "spacings_lambda": [0.5]}
+        cfg["scene"] = {"scatterer": [40.0, 40.0, 10.0]}
+        cfg["grid"] = {"min": [30.0, 30.0, 0.0], "max": [50.0, 50.0, 20.0],
+                       "resolution": [4, 4, 4]}
+        config = resolve_config(cfg)
+        tx = _sweep_variant(config, "dimensionality", 3)[0]
+        assert tx.counts == (64, 8, 64)
+        np.testing.assert_array_equal(tx.spacings, [2.0, 3.0, 2.0])
+        np.testing.assert_array_equal(tx.axes[:2], config.tx.axes)
+        np.testing.assert_allclose(np.abs(tx.axes[2]), [0.0, 0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(tx.center, config.tx.center, atol=1e-12)
+
     def test_sweep_mask_matches_run_mask(self, tmp_path):
         cfg = small_config(outputs=["mask"])
         cfg["tx"]["spacings_lambda"] = cfg["rx"]["spacings_lambda"] = [5.0]
@@ -318,6 +377,13 @@ class TestCli:
         path.write_text('{"wave": ')
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_non_finite_threshold_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_config(outputs=["spectrum"],
+                                                thresholds={"support_db": np.nan})))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "thresholds.support_db: must be finite" in capsys.readouterr().err
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.json")]) == 2

@@ -181,6 +181,13 @@ def test_scene_validation():
         Scene([np.nan, 0.0])
 
 
+@pytest.mark.parametrize("reflectivity", [complex(np.nan, 0.0), complex(0.0, np.inf),
+                                          -np.inf])
+def test_non_finite_reflectivity_rejected(reflectivity):
+    with pytest.raises(GeometryError, match="reflectivity must be finite"):
+        Scene([1.0, 2.0], reflectivity)
+
+
 class TestEvalGrid:
     def test_cell_centers_row_major(self):
         grid = EvalGrid([0.0, 0.0], [4.0, 2.0], (2, 2))
@@ -188,6 +195,13 @@ class TestEvalGrid:
             grid.cell_centers(),
             [[1.0, 0.5], [1.0, 1.5], [3.0, 0.5], [3.0, 1.5]],
         )
+
+    def test_cell_center_ranges_join_to_all_cells(self):
+        grid = EvalGrid([-1.0, 0.0, 2.0], [3.0, 5.0, 2.5], (3, 4, 5))
+        ranges = [(0, 7), (7, 8), (8, 33), (33, 60)]
+        joined = np.vstack([grid.cell_centers(a, b) for a, b in ranges])
+        np.testing.assert_array_equal(joined, grid.cell_centers())
+        assert grid.cell_centers(5, 5).shape == (0, 3)
 
     def test_cell_index(self):
         grid = EvalGrid([0.0, 0.0], [10.0, 10.0], (5, 5))

@@ -7,6 +7,7 @@ from nf_aliaser import (
     Scene,
     SingularityError,
     WaveParams,
+    aliasing_mask,
     bistatic_image,
     build_uniform_array,
     chirp_value,
@@ -15,6 +16,7 @@ from nf_aliaser import (
     partial_image,
     partial_image_at,
 )
+from nf_aliaser.imaging import CELL_BLOCK
 
 WAVE = WaveParams(1.0)
 
@@ -253,6 +255,60 @@ class TestDirectImage:
             assert rel.max() <= 1e-10
 
 
+# 37 x 443 = 2 * CELL_BLOCK + 7 cells: two full blocks and a 7-cell tail.
+BLOCK_GRID = EvalGrid([-60.0, -40.0], [60.0, 80.0], (37, 443))
+BLOCK_TX = build_uniform_array([-10.0, 0.0], [[1, 0]], [12], [1.7], "transmit")
+BLOCK_RX = build_uniform_array([0.0, -10.0], [[0.6, 0.8], [-0.8, 0.6]], [3, 4], [1.3, 0.9],
+                               "receive")
+BLOCK_SCENE = Scene([25.0, 30.0], 0.5 + 2.0j)
+BLOCK_KERNELS = {
+    "partial_image": lambda threads: partial_image(BLOCK_TX, BLOCK_SCENE, WAVE, BLOCK_GRID,
+                                                   threads=threads),
+    "direct_image": lambda threads: direct_image(BLOCK_TX, BLOCK_RX, BLOCK_SCENE, WAVE,
+                                                 BLOCK_GRID, threads=threads),
+    "aliasing_mask": lambda threads: aliasing_mask(BLOCK_TX, BLOCK_RX, BLOCK_SCENE, WAVE,
+                                                   BLOCK_GRID, threads=threads),
+}
+
+
+class TestBlocks:
+    def test_grid_ends_in_a_partial_block(self):
+        assert BLOCK_GRID.num_cells == 2 * CELL_BLOCK + 7
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_KERNELS))
+    def test_threads_bit_identical_across_blocks(self, name):
+        serial, threaded = BLOCK_KERNELS[name](1), BLOCK_KERNELS[name](3)
+        np.testing.assert_array_equal(serial.excluded, threaded.excluded)
+        if name == "aliasing_mask":
+            assert 0 < serial.combined.sum() < serial.combined.size
+            for a, b in zip(serial.layers, threaded.layers):
+                np.testing.assert_array_equal(a.free, b.free)
+        else:
+            np.testing.assert_array_equal(serial.values, threaded.values)
+
+    def test_partial_image_matches_point_evaluator_bitwise(self):
+        field = partial_image(BLOCK_TX, BLOCK_SCENE, WAVE, BLOCK_GRID, threads=2)
+        usable = ~field.excluded.ravel()
+        assert usable.sum() > 2 * CELL_BLOCK
+        vals = partial_image_at(BLOCK_TX, BLOCK_GRID.cell_centers()[usable], BLOCK_SCENE, WAVE)
+        np.testing.assert_array_equal(vals, field.values.ravel()[usable])
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_KERNELS))
+    def test_cell_centers_asked_one_block_at_a_time(self, name, monkeypatch):
+        sizes = []
+        cell_centers = EvalGrid.cell_centers
+
+        def recording(self, *args):
+            centers = cell_centers(self, *args)
+            sizes.append(len(centers))
+            return centers
+
+        monkeypatch.setattr(EvalGrid, "cell_centers", recording)
+        BLOCK_KERNELS[name](2)
+        assert sizes and max(sizes) <= CELL_BLOCK
+        assert sum(sizes) % BLOCK_GRID.num_cells == 0
+
+
 class TestMagnitudeDb:
     def _field(self, values, excluded=None):
         grid = EvalGrid([0.0, 0.0], [2.0, 2.0], (2, 2))
@@ -280,6 +336,11 @@ class TestMagnitudeDb:
     def test_all_zero_rejected(self):
         with pytest.raises(GridError):
             magnitude_db(self._field([0.0, 0.0, 0.0, 0.0]), -40.0)
+
+    @pytest.mark.parametrize("floor_db", [0.0, np.nan, -np.inf])
+    def test_floor_must_be_negative_and_finite(self, floor_db):
+        with pytest.raises(GridError, match="floor_db must be negative and finite"):
+            magnitude_db(self._field([1.0, 0.5, 0.25, 0.0]), floor_db)
 
     def test_fig1_range(self):
         field = partial_image(FIG1_TX, FIG1_SCENE, WAVE,
