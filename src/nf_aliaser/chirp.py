@@ -109,14 +109,16 @@ def _element_terms(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
     return elements, axes_idx, units, pu
 
 
-def _fold_axis(best: np.ndarray, e_u, c_u: np.ndarray, dt: np.ndarray, pu_e) -> None:
+def _fold_axis(best: np.ndarray, e_u, c_u: np.ndarray, dt: np.ndarray, pu_e,
+               tmp: np.ndarray) -> None:
     """best = max(best, |k_axis| / k) for one element (or one element per cell).
 
     e_u and c_u are the element and cell coordinates on the axis, pu_e the
-    element's scatterer term; both kernels fold through this one expression so
-    an element yields the same bits whichever kernel evaluates it.
+    element's scatterer term, tmp a scratch buffer of n floats; both kernels
+    fold through this one expression so an element yields the same bits
+    whichever kernel evaluates it.
     """
-    k_axis = e_u - c_u
+    k_axis = np.subtract(e_u, c_u, out=tmp)
     k_axis /= dt
     k_axis -= pu_e
     np.maximum(best, np.abs(k_axis, out=k_axis), out=best)
@@ -133,15 +135,18 @@ def _kmax_layers(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
     elements, axes_idx, units, pu = _element_terms(array, scatterer, eps)
 
     def kernel(cells: np.ndarray) -> tuple:
+        cols = np.ascontiguousarray(cells.T)
+        n = len(cells)
         c_u = [cells @ u for u in units]
-        near = np.full(len(cells), np.inf)
-        best = [np.zeros(len(cells)) for _ in units]
+        near = np.full(n, np.inf)
+        best = [np.zeros(n) for _ in units]
+        dt, tmp = np.empty(n), np.empty(n)
         with np.errstate(divide="ignore", invalid="ignore"):
             for ie, e in enumerate(elements):
-                dt = _distance(e, cells)
+                _distance(e, cols, dt, tmp)
                 np.minimum(near, dt, out=near)
                 for ja, u in enumerate(units):
-                    _fold_axis(best[ja], float(e @ u), c_u[ja], dt, pu[ja][ie])
+                    _fold_axis(best[ja], float(e @ u), c_u[ja], dt, pu[ja][ie], tmp)
         return (near, *best)
 
     return axes_idx, kernel
@@ -217,14 +222,24 @@ def _kmax_lines(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
         axis_lines.append((ja, u, perp, stride, array.counts[j], float(array.spacings[j]),
                            lines))
 
+    x = np.ascontiguousarray(elements.T)
+
     def kernel(c: np.ndarray) -> tuple:
-        near = _distance(elements[0], c) if not axis_lines else np.full(len(c), np.inf)
+        cols = np.ascontiguousarray(c.T)
+        n = len(c)
+        dt, tmp = np.empty(n), np.empty(n)
+
+        def distance(g):
+            # Element g (an index, or one index per cell), gathered per axis.
+            return _distance([x_i[g] for x_i in x], cols, dt, tmp)
+
+        near = distance(0).copy() if not axis_lines else np.full(n, np.inf)
         bests = []
         with np.errstate(divide="ignore", invalid="ignore"):
             for ja, u, perp, stride, count, d, lines in axis_lines:
                 c_u = c @ u
                 c_v = c @ perp.T
-                best = np.zeros(len(c))
+                best = np.zeros(n)
                 for first, o_u, o_v, u_s, b, rs2 in lines:
                     u_t = c_u - o_u
                     # With the scatterer on the line (b = 0), f' = h_t^2/r_t^3
@@ -235,17 +250,17 @@ def _kmax_lines(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
                     roots = _line_roots(u_t, c_v - o_v, u_s, b, rs2) if b > 0.0 else (u_s,)
                     for m in (0, count - 1):
                         g = first + stride * m
-                        _fold_axis(best, eu[ja][g], c_u, _distance(elements[g], c), pu[ja][g])
+                        _fold_axis(best, eu[ja][g], c_u, distance(g), pu[ja][g], tmp)
                     for root in roots:
                         # fmax/fmin map nan to -1 and clamp +-inf: a root that
                         # does not exist lands on an end element.
                         m0 = np.floor(np.fmin(np.fmax(root / d, -1.0), count)).astype(np.intp)
                         for m in (m0, m0 + 1):
                             g = first + stride * np.clip(m, 0, count - 1)
-                            _fold_axis(best, eu[ja][g], c_u, _distance(elements[g], c), pu[ja][g])
+                            _fold_axis(best, eu[ja][g], c_u, distance(g), pu[ja][g], tmp)
                     if ja == 0:
                         m = np.clip(np.rint(u_t / d), 0, count - 1).astype(np.intp)
-                        np.minimum(near, _distance(elements[first + stride * m], c), out=near)
+                        np.minimum(near, distance(first + stride * m), out=near)
                 bests.append(best)
         return (near, *bests)
 

@@ -12,6 +12,17 @@ from .presets import PRESETS, preset_config
 from .runner import run, sweep
 
 
+def _thread_count(text: str) -> int:
+    """--threads value: a whole number of at least 1."""
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a whole number, got {text!r}") from None
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
+    return threads
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nf-aliaser",
@@ -22,12 +33,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a JSON configuration")
     p_run.add_argument("config", help="path to a config.json")
     p_run.add_argument("--out", default="nf_aliaser_out", help="output directory")
-    p_run.add_argument("--threads", type=int, default=1, help="compute threads")
+    p_run.add_argument("--threads", type=_thread_count, default=1, help="compute threads")
 
     p_preset = sub.add_parser("preset", help="run a built-in figure preset")
     p_preset.add_argument("name", choices=sorted(PRESETS), help="preset name")
     p_preset.add_argument("--out", default=None, help="output directory (default: out_<name>)")
-    p_preset.add_argument("--threads", type=int, default=1)
+    p_preset.add_argument("--threads", type=_thread_count, default=1)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter of a configuration")
     p_sweep.add_argument("config", help="path to a config.json")
@@ -35,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True,
                          help="JSON list of sweep values, e.g. '[16, 64]'")
     p_sweep.add_argument("--out", default="nf_aliaser_out", help="output directory")
-    p_sweep.add_argument("--threads", type=int, default=1)
+    p_sweep.add_argument("--threads", type=_thread_count, default=1)
     return parser
 
 

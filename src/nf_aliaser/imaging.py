@@ -65,11 +65,20 @@ def _run_blocks(kernel, grid: EvalGrid, threads: int) -> tuple:
     return tuple(outputs)
 
 
-def _distance(e: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """|e - c| per cell; e is one element (d,) or one element per cell (n, d)."""
-    diff = e - c
-    dist = np.einsum("ij,ij->i", diff, diff)
-    return np.sqrt(dist, out=dist)
+def _distance(e, cols: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """|e - c| per cell, written into out and returned.
+
+    cols holds the cells as coordinate rows (d, n); e is one element (d,) or
+    one element per cell as d 1-D arrays. The squares are summed in axis
+    order, ((dx^2 + dy^2) + dz^2); tmp is a scratch buffer of n floats.
+    """
+    np.subtract(e[0], cols[0], out=out)
+    np.multiply(out, out, out=out)
+    for e_i, c_i in zip(e[1:], cols[1:]):
+        np.subtract(e_i, c_i, out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        out += tmp
+    return np.sqrt(out, out=out)
 
 
 def _scatterer_distances(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
@@ -93,13 +102,24 @@ def _chirp_sum(elements: np.ndarray, d_s: np.ndarray, k: float, points: np.ndarr
     Accumulates sequentially in lattice-element order, so a point gets the
     same bits whichever block of points it is evaluated in.
     """
-    acc = np.zeros(len(points), dtype=np.complex128)
-    near = np.full(len(points), np.inf)
+    cols = np.ascontiguousarray(points.T)
+    n = len(points)
+    acc = np.zeros(n, dtype=np.complex128)
+    near = np.full(n, np.inf)
+    dt, tmp = np.empty(n), np.empty(n)
+    z = np.empty(n, dtype=np.complex128)
+    ik = 1j * k
     with np.errstate(divide="ignore", invalid="ignore"):
         for e, ds in zip(elements, d_s):
-            dt = _distance(e, points)
+            _distance(e, cols, dt, tmp)
             np.minimum(near, dt, out=near)
-            acc += np.exp(1j * k * (dt - ds)) / (dt * ds)
+            # exp(1j*k*(dt - ds)) / (dt*ds), step by step in the buffers.
+            np.subtract(dt, ds, out=tmp)
+            np.multiply(ik, tmp, out=z)
+            np.exp(z, out=z)
+            np.multiply(dt, ds, out=tmp)
+            np.divide(z, tmp, out=z)
+            acc += z
     return acc, near
 
 
@@ -196,17 +216,20 @@ def direct_image(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: WaveP
     z_r = np.exp(-1j * k * dsr) / dsr
 
     def kernel(cells: np.ndarray) -> tuple:
-        czt = np.empty((len(et), len(cells)), dtype=np.complex128)
-        near = np.full(len(cells), np.inf)
+        cols = np.ascontiguousarray(cells.T)
+        n = len(cells)
+        czt = np.empty((len(et), n), dtype=np.complex128)
+        near = np.full(n, np.inf)
+        dist, tmp = np.empty(n), np.empty(n)
         with np.errstate(divide="ignore", invalid="ignore"):
             for it, e in enumerate(et):
-                dt = _distance(e, cells)
+                dt = _distance(e, cols, dist, tmp)
                 np.minimum(near, dt, out=near)
                 czt[it] = np.exp(1j * k * dt) / dt
-            acc = np.zeros(len(cells), dtype=np.complex128)
+            acc = np.zeros(n, dtype=np.complex128)
             for it in range(len(et)):
                 for ir, e in enumerate(er):
-                    dr = _distance(e, cells)
+                    dr = _distance(e, cols, dist, tmp)
                     np.minimum(near, dr, out=near)
                     u = zeta * z_r[ir] * z_t[it]
                     acc += u * (np.exp(1j * k * dr) / dr) * czt[it]

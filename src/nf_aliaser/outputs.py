@@ -20,6 +20,21 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+# Rows formatted per write by _write_pairs_csv: one %-format call per chunk,
+# without holding a whole-file string (which grew the peak RSS of repeated runs).
+PAIR_ROWS = 4096
+
+
+def _write_pairs_csv(path: Path, head: list, pairs: np.ndarray) -> None:
+    """Write the head lines, then one "a,b" row per row of the (n, 2) float
+    array pairs, each number formatted as fmt does."""
+    with open(path, "w", encoding="ascii") as f:
+        f.write("\n".join(head) + "\n")
+        for start in range(0, len(pairs), PAIR_ROWS):
+            chunk = pairs[start:start + PAIR_ROWS]
+            f.write(("%.17g,%.17g\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
 def _grid_comments(grid, wavelength: float) -> list:
     return [
         f"# wavelength: {fmt(wavelength)}",
@@ -35,17 +50,18 @@ def write_field_csv(path: Path, name: str, field: ComplexField, wavelength: floa
     lines += _grid_comments(field.grid, wavelength)
     lines.append(f"# excluded_cells: {int(field.excluded.sum())}")
     lines.append("# columns: re,im")
-    flat = field.values.ravel(order="C")
-    lines += [f"{fmt(v.real)},{fmt(v.imag)}" for v in flat]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    flat = np.ascontiguousarray(field.values, dtype=np.complex128).ravel()
+    _write_pairs_csv(path, lines, flat.view(np.float64).reshape(-1, 2))
 
 
 def write_mask_csv(path: Path, name: str, mask: np.ndarray, grid, wavelength: float) -> None:
     lines = [f"# nf-aliaser {name}"]
     lines += _grid_comments(grid, wavelength)
     lines.append("# columns: aliasing_free")
-    lines += [str(int(v)) for v in mask.ravel(order="C")]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    rows = np.full((mask.size, 2), ord("\n"), dtype=np.uint8)
+    rows[:, 0] = np.where(mask.ravel(order="C"), ord("1"), ord("0"))
+    path.write_text("\n".join(lines) + "\n" + rows.tobytes().decode("ascii"),
+                    encoding="ascii")
 
 
 def write_spectrum_csv(path: Path, name: str, support, wavelength: float) -> None:
@@ -60,8 +76,7 @@ def write_spectrum_csv(path: Path, name: str, support, wavelength: float) -> Non
         f"# support_max: {fmt(support.support_max)}",
         "# columns: wavenumber,magnitude_db",
     ]
-    lines += [f"{fmt(f)},{fmt(v)}" for f, v in zip(support.frequencies, db)]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_pairs_csv(path, lines, np.column_stack((support.frequencies, db)))
 
 
 def write_sweep_csv(path: Path, rows: list) -> None:
@@ -77,12 +92,16 @@ def write_sweep_csv(path: Path, rows: list) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+_PGM_LEVELS = [str(v) for v in range(256)]
+
+
 def _pgm_text(pixels: np.ndarray, comment: str) -> str:
     # pixels indexed [x, y]; rendered with y increasing upward.
     width, height = pixels.shape
-    rows = []
-    for j in range(height - 1, -1, -1):
-        rows.append(" ".join(str(int(v)) for v in pixels[:, j]))
+    top_down = pixels[:, ::-1].T.astype(np.int64).tolist()
+    # Levels 0..255 come from a table; anything else is written as str would.
+    word = _PGM_LEVELS.__getitem__ if 0 <= pixels.min() and pixels.max() <= 255 else str
+    rows = [" ".join(map(word, row)) for row in top_down]
     return f"P2\n# {comment}\n{width} {height}\n255\n" + "\n".join(rows) + "\n"
 
 

@@ -397,6 +397,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "N4:" in out and "N8:" in out
 
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    @pytest.mark.parametrize("command", ["run", "preset", "sweep"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, command, threads):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_config(outputs=["mask"])))
+        out = tmp_path / "out"
+        argv = {"run": ["run", str(path)],
+                "preset": ["preset", "fig1"],
+                "sweep": ["sweep", str(path), "--param", "spacing", "--values", "[4]"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out), "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_bad_values_json(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(small_config(outputs=["mask"])))

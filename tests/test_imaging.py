@@ -16,7 +16,7 @@ from nf_aliaser import (
     partial_image,
     partial_image_at,
 )
-from nf_aliaser.imaging import CELL_BLOCK
+from nf_aliaser.imaging import CELL_BLOCK, _distance
 
 WAVE = WaveParams(1.0)
 
@@ -307,6 +307,48 @@ class TestBlocks:
         BLOCK_KERNELS[name](2)
         assert sizes and max(sizes) <= CELL_BLOCK
         assert sum(sizes) % BLOCK_GRID.num_cells == 0
+
+
+def _random_cells(rng, dim):
+    n = int(rng.integers(1, 3000))
+    scale = 10.0 ** rng.uniform(-3, 4)
+    return rng.normal(size=dim) * scale, rng.normal(size=(n, dim)) * scale
+
+
+def _column_distance(e, cells):
+    n = len(cells)
+    return _distance(e, np.ascontiguousarray(cells.T), np.empty(n), np.empty(n))
+
+
+class TestDistance:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bit_identical_to_einsum_in_1d_and_2d(self, dim):
+        rng = np.random.default_rng(41 + dim)
+        for _ in range(25):
+            e, cells = _random_cells(rng, dim)
+            diff = e - cells
+            expected = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            np.testing.assert_array_equal(_column_distance(e, cells), expected)
+
+    def test_3d_sums_squares_in_axis_order(self):
+        rng = np.random.default_rng(43)
+        for _ in range(25):
+            e, cells = _random_cells(rng, 3)
+            dx, dy, dz = (e - cells).T
+            expected = np.sqrt((dx * dx + dy * dy) + dz * dz)
+            np.testing.assert_array_equal(_column_distance(e, cells), expected)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_element_per_cell_matches_single_element_rows(self, dim):
+        rng = np.random.default_rng(47 + dim)
+        elements = rng.normal(size=(6, dim)) * 50.0
+        _, cells = _random_cells(rng, dim)
+        pick = rng.integers(0, len(elements), size=len(cells))
+        per_cell = [elements[pick, i] for i in range(dim)]
+        got = _column_distance(per_cell, cells)
+        for ie, e in enumerate(elements):
+            rows = pick == ie
+            np.testing.assert_array_equal(got[rows], _column_distance(e, cells)[rows])
 
 
 class TestMagnitudeDb:

@@ -1,8 +1,27 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from nf_aliaser import ComplexField, EvalGrid, Scene, WaveParams, aliasing_mask, build_uniform_array
-from nf_aliaser.outputs import fmt, write_field_csv, write_field_pgm, write_mask_pgm
+from nf_aliaser import (
+    ComplexField,
+    EvalGrid,
+    Scene,
+    WaveParams,
+    aliasing_mask,
+    build_uniform_array,
+    magnitude_db,
+)
+from nf_aliaser.outputs import (
+    PAIR_ROWS,
+    _grid_comments,
+    fmt,
+    write_field_csv,
+    write_field_pgm,
+    write_mask_csv,
+    write_mask_pgm,
+    write_spectrum_csv,
+)
 
 WAVE = WaveParams(1.0)
 
@@ -72,3 +91,93 @@ def test_pgm_rejects_non_2d():
                          excluded=np.zeros(4, bool), meta={})
     with pytest.raises(ValueError):
         write_field_pgm("unused.pgm", "f", field, -40.0)
+
+
+# Per-value references: the writers' bytes as formatted one value at a time
+# with fmt / str(int(v)).
+EDGE_FLOATS = [-0.0, 5e-324, 1e308, 0.1, np.inf, -np.inf, -5e-324, 1.0, -1e-308]
+
+
+def _reference_text(head: list, rows: list) -> str:
+    return "\n".join(head + rows) + "\n"
+
+
+def _reference_pgm(pixels, comment):
+    width, height = pixels.shape
+    rows = [" ".join(str(int(v)) for v in pixels[:, j]) for j in range(height - 1, -1, -1)]
+    return f"P2\n# {comment}\n{width} {height}\n255\n" + "\n".join(rows) + "\n"
+
+
+def _edge_values(rng, shape):
+    n = int(np.prod(shape))
+    re = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    im = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    m = min(n, len(EDGE_FLOATS))
+    re[:m] = EDGE_FLOATS[:m]
+    im[:m] = EDGE_FLOATS[::-1][:m]
+    values = np.empty(n, dtype=np.complex128)
+    values.real, values.imag = re, im
+    return values.reshape(shape)
+
+
+# A 1x1 grid stands in as a plain namespace: EvalGrid needs two cells per axis.
+GRIDS = {
+    "1x1": SimpleNamespace(corner_min=np.zeros(2), corner_max=np.ones(2), resolution=(1, 1)),
+    "3x5": EvalGrid([0.0, -1.0], [3.0, 4.0], (3, 5)),
+    "80x61": EvalGrid([0.5, 0.0], [1.5, 2.0], (80, 61)),
+}
+# The field CSV is written PAIR_ROWS rows at a time; 80x61 spans two writes.
+assert 80 * 61 > PAIR_ROWS
+
+
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+class TestWriterBytes:
+    def test_field_csv(self, tmp_path, grid_name):
+        grid = GRIDS[grid_name]
+        values = _edge_values(np.random.default_rng(3), grid.resolution)
+        excluded = np.zeros(grid.resolution, bool)
+        path = tmp_path / "f.csv"
+        write_field_csv(path, "f", ComplexField(grid=grid, values=values, excluded=excluded),
+                        0.5)
+        head = ["# nf-aliaser f", *_grid_comments(grid, 0.5), "# excluded_cells: 0",
+                "# columns: re,im"]
+        rows = [f"{fmt(v.real)},{fmt(v.imag)}" for v in values.ravel()]
+        assert path.read_bytes() == _reference_text(head, rows).encode("ascii")
+
+    def test_mask_csv_and_pgm(self, tmp_path, grid_name):
+        grid = GRIDS[grid_name]
+        mask = np.random.default_rng(5).random(grid.resolution) < 0.5
+        write_mask_csv(tmp_path / "m.csv", "m", mask, grid, 0.5)
+        head = ["# nf-aliaser m", *_grid_comments(grid, 0.5), "# columns: aliasing_free"]
+        rows = [str(int(v)) for v in mask.ravel()]
+        assert (tmp_path / "m.csv").read_bytes() == _reference_text(head, rows).encode("ascii")
+        write_mask_pgm(tmp_path / "m.pgm", "m", mask)
+        expected = _reference_pgm(np.where(mask, 255, 0), "nf-aliaser m")
+        assert (tmp_path / "m.pgm").read_bytes() == expected.encode("ascii")
+
+    def test_field_pgm(self, tmp_path, grid_name):
+        grid = GRIDS[grid_name]
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=grid.resolution) * np.exp(rng.uniform(-6, 0, grid.resolution))
+        field = ComplexField(grid=grid, values=values.astype(complex),
+                             excluded=np.zeros(grid.resolution, bool))
+        write_field_pgm(tmp_path / "f.pgm", "f", field, -40.0)
+        db = magnitude_db(field, -40.0)
+        pixels = np.rint((db + 40.0) * (255.0 / 40.0)).astype(int)
+        expected = _reference_pgm(pixels, "nf-aliaser f")
+        assert (tmp_path / "f.pgm").read_bytes() == expected.encode("ascii")
+
+
+def test_spectrum_csv_bytes(tmp_path):
+    rng = np.random.default_rng(11)
+    magnitude = np.abs(rng.normal(size=len(EDGE_FLOATS)))
+    magnitude[2] = 0.0
+    support = SimpleNamespace(frequencies=np.array(EDGE_FLOATS), magnitude=magnitude,
+                              axis=1, support_max=0.1)
+    write_spectrum_csv(tmp_path / "s.csv", "s", support, 0.5)
+    with np.errstate(divide="ignore"):
+        db = 20.0 * np.log10(magnitude / magnitude.max())
+    head = ["# nf-aliaser s", "# wavelength: 0.5", "# axis_index: 1",
+            "# support_max: 0.10000000000000001", "# columns: wavenumber,magnitude_db"]
+    rows = [f"{fmt(f)},{fmt(v)}" for f, v in zip(support.frequencies, db)]
+    assert (tmp_path / "s.csv").read_bytes() == _reference_text(head, rows).encode("ascii")
