@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GridError, SingularityError
 from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams
-from .imaging import _distance, _run_blocks, _scatterer_distances
+from .imaging import _block_columns, _distance, _run_blocks, _scatterer_distances
 from .wavefield import exclusion_radius
 
 AliasingVerdict = namedtuple("AliasingVerdict", ["per_axis", "ok"])
@@ -135,12 +135,11 @@ def _kmax_layers(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
     elements, axes_idx, units, pu = _element_terms(array, scatterer, eps)
 
     def kernel(cells: np.ndarray) -> tuple:
-        cols = np.ascontiguousarray(cells.T)
+        cols, dt, tmp = _block_columns(cells)
         n = len(cells)
         c_u = [cells @ u for u in units]
         near = np.full(n, np.inf)
         best = [np.zeros(n) for _ in units]
-        dt, tmp = np.empty(n), np.empty(n)
         with np.errstate(divide="ignore", invalid="ignore"):
             for ie, e in enumerate(elements):
                 _distance(e, cols, dt, tmp)
@@ -225,9 +224,8 @@ def _kmax_lines(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
     x = np.ascontiguousarray(elements.T)
 
     def kernel(c: np.ndarray) -> tuple:
-        cols = np.ascontiguousarray(c.T)
+        cols, dt, tmp = _block_columns(c)
         n = len(c)
-        dt, tmp = np.empty(n), np.empty(n)
 
         def distance(g):
             # Element g (an index, or one index per cell), gathered per axis.

@@ -81,6 +81,13 @@ def _distance(e, cols: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarr
     return np.sqrt(out, out=out)
 
 
+def _block_columns(cells: np.ndarray) -> tuple:
+    """A block's (n, d) cells as the (d, n) coordinate rows _distance takes,
+    plus its two scratch buffers of n floats (out, tmp)."""
+    n = len(cells)
+    return np.ascontiguousarray(cells.T), np.empty(n), np.empty(n)
+
+
 def _scatterer_distances(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
     """Element positions and their distances to the scatterer.
 
@@ -102,24 +109,15 @@ def _chirp_sum(elements: np.ndarray, d_s: np.ndarray, k: float, points: np.ndarr
     Accumulates sequentially in lattice-element order, so a point gets the
     same bits whichever block of points it is evaluated in.
     """
-    cols = np.ascontiguousarray(points.T)
+    cols, dt, tmp = _block_columns(points)
     n = len(points)
     acc = np.zeros(n, dtype=np.complex128)
     near = np.full(n, np.inf)
-    dt, tmp = np.empty(n), np.empty(n)
-    z = np.empty(n, dtype=np.complex128)
-    ik = 1j * k
     with np.errstate(divide="ignore", invalid="ignore"):
         for e, ds in zip(elements, d_s):
             _distance(e, cols, dt, tmp)
             np.minimum(near, dt, out=near)
-            # exp(1j*k*(dt - ds)) / (dt*ds), step by step in the buffers.
-            np.subtract(dt, ds, out=tmp)
-            np.multiply(ik, tmp, out=z)
-            np.exp(z, out=z)
-            np.multiply(dt, ds, out=tmp)
-            np.divide(z, tmp, out=z)
-            acc += z
+            acc += np.exp(1j * k * (dt - ds)) / (dt * ds)
     return acc, near
 
 
@@ -216,11 +214,10 @@ def direct_image(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: WaveP
     z_r = np.exp(-1j * k * dsr) / dsr
 
     def kernel(cells: np.ndarray) -> tuple:
-        cols = np.ascontiguousarray(cells.T)
+        cols, dist, tmp = _block_columns(cells)
         n = len(cells)
         czt = np.empty((len(et), n), dtype=np.complex128)
         near = np.full(n, np.inf)
-        dist, tmp = np.empty(n), np.empty(n)
         with np.errstate(divide="ignore", invalid="ignore"):
             for it, e in enumerate(et):
                 dt = _distance(e, cols, dist, tmp)

@@ -92,16 +92,11 @@ def write_sweep_csv(path: Path, rows: list) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-_PGM_LEVELS = [str(v) for v in range(256)]
-
-
 def _pgm_text(pixels: np.ndarray, comment: str) -> str:
     # pixels indexed [x, y]; rendered with y increasing upward.
     width, height = pixels.shape
     top_down = pixels[:, ::-1].T.astype(np.int64).tolist()
-    # Levels 0..255 come from a table; anything else is written as str would.
-    word = _PGM_LEVELS.__getitem__ if 0 <= pixels.min() and pixels.max() <= 255 else str
-    rows = [" ".join(map(word, row)) for row in top_down]
+    rows = [" ".join(map(str, row)) for row in top_down]
     return f"P2\n# {comment}\n{width} {height}\n255\n" + "\n".join(rows) + "\n"
 
 
