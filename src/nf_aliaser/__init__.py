@@ -9,9 +9,8 @@ from .geometry import (
     Scene,
     WaveParams,
     build_uniform_array,
-    element_positions,
 )
-from .wavefield import chirp_phase, chirp_value, green, received_signal
+from .wavefield import chirp_phase, chirp_value, green
 from .imaging import (
     ComplexField,
     bistatic_image,
@@ -30,7 +29,6 @@ from .chirp import (
 )
 from .spectral import (
     SpectralSupport,
-    aliasing_oracle,
     sample_chirp_along_axis,
     spectral_support,
 )
@@ -54,13 +52,11 @@ __all__ = [
     "WaveParams",
     "aliasing_free",
     "aliasing_mask",
-    "aliasing_oracle",
     "bistatic_image",
     "build_uniform_array",
     "chirp_phase",
     "chirp_value",
     "direct_image",
-    "element_positions",
     "green",
     "load_config",
     "local_wavenumber",
@@ -68,7 +64,6 @@ __all__ = [
     "max_spatial_frequency",
     "partial_image",
     "partial_image_at",
-    "received_signal",
     "resolve_config",
     "run",
     "sample_chirp_along_axis",

@@ -90,13 +90,6 @@ class AliasingMask:
         combined &= ~self.excluded
         self.combined = combined
 
-    def per_array(self, array_label: str) -> np.ndarray:
-        out = np.ones(self.grid.resolution, dtype=bool)
-        for layer in self.layers:
-            if layer.array_label == array_label:
-                out &= layer.free
-        return out & ~self.excluded
-
 
 def _element_terms(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
     """Inputs both mask kernels share: elements, sampled axes, their unit

@@ -196,35 +196,11 @@ def resolve_config(data: dict) -> RunConfig:
     if "sweep" in outputs and sweep is None:
         raise ConfigError("sweep: section required when outputs include 'sweep'")
 
-    resolved = {
-        "wave": {"lambda": wavelength},
-        "tx": _echo_array(tx, wavelength),
-        "rx": _echo_array(rx, wavelength),
-        "scene": {"scatterer": [s / wavelength for s in scene.scatterer],
-                  "reflectivity_re": scene.reflectivity.real,
-                  "reflectivity_im": scene.reflectivity.imag},
-        "grid": {"min": [v / wavelength for v in grid.corner_min],
-                 "max": [v / wavelength for v in grid.corner_max],
-                 "resolution": list(grid.resolution)},
-        "outputs": list(outputs),
-        "thresholds": thr,
-    }
     sweep_param, sweep_values = (sweep["param"], sweep["values"]) if sweep else (None, None)
-    if sweep is not None:
-        resolved["sweep"] = {"param": sweep_param, "values": list(sweep_values)}
-
     return RunConfig(wave=WaveParams(wavelength=wavelength), tx=tx, rx=rx, scene=scene,
                      grid=grid, outputs=outputs, thresholds=Thresholds(**thr),
-                     sweep_param=sweep_param, sweep_values=sweep_values, resolved=resolved)
-
-
-def _echo_array(array: ArrayGeometry, wavelength: float) -> dict:
-    return {
-        "origin": [v / wavelength for v in array.origin],
-        "axes": [list(row) for row in array.axes],
-        "counts": list(array.counts),
-        "spacings_lambda": [v / wavelength for v in array.spacings],
-    }
+                     sweep_param=sweep_param, sweep_values=sweep_values,
+                     resolved={k: v for k, v in cfg.items() if v is not None})
 
 
 def load_config(source) -> RunConfig:

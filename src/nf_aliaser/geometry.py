@@ -158,11 +158,6 @@ def build_uniform_array(origin, axes, counts, spacings, role_tag) -> ArrayGeomet
                          spacings=spacings, role_tag=role_tag)
 
 
-def element_positions(geometry: ArrayGeometry) -> np.ndarray:
-    """Element positions of a lattice array in deterministic lattice order."""
-    return geometry.element_positions()
-
-
 def min_element_distance(geometry: ArrayGeometry, point) -> float:
     """Smallest Euclidean distance from `point` to any array element."""
     p = np.asarray(point, dtype=float)

@@ -23,7 +23,10 @@ CELL_BLOCK = 8192
 
 @dataclass
 class ComplexField:
-    """Complex value per grid cell plus an explicit exclusion flag."""
+    """Complex value per grid cell plus an explicit exclusion flag.
+
+    meta["scatterer"] lets bistatic_image refuse partial images of two scenes.
+    """
 
     grid: EvalGrid
     values: np.ndarray
@@ -167,10 +170,7 @@ def partial_image(array: ArrayGeometry, scene: Scene, wave: WaveParams, grid: Ev
 
     values, dmin = _run_blocks(lambda cells: _chirp_sum(elements, d_s, wave.wavenumber, cells),
                                grid, threads)
-    meta = {"product": "partial_image", "role": array.role_tag,
-            "scatterer": tuple(scene.scatterer), "wavelength": wave.wavelength,
-            "epsilon": eps, "normalized": False}
-    return _field(grid, values, dmin, eps, meta)
+    return _field(grid, values, dmin, eps, {"scatterer": tuple(scene.scatterer)})
 
 
 def bistatic_image(tx_field: ComplexField, rx_field: ComplexField,
@@ -189,10 +189,7 @@ def bistatic_image(tx_field: ComplexField, rx_field: ComplexField,
     values = complex(reflectivity) * tx_field.values * rx_field.values
     excluded = tx_field.excluded | rx_field.excluded
     values = np.where(excluded, 0.0, values)
-    meta = {"product": "bistatic_image", "scatterer": scat_t,
-            "wavelength": tx_field.meta.get("wavelength"),
-            "epsilon": tx_field.meta.get("epsilon"), "normalized": False}
-    return ComplexField(grid=gt, values=values, excluded=excluded, meta=meta)
+    return ComplexField(grid=gt, values=values, excluded=excluded, meta={"scatterer": scat_t})
 
 
 def direct_image(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: WaveParams,
@@ -233,9 +230,7 @@ def direct_image(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: WaveP
         return acc, near
 
     values, dmin = _run_blocks(kernel, grid, threads)
-    meta = {"product": "direct_image", "scatterer": tuple(scene.scatterer),
-            "wavelength": wave.wavelength, "epsilon": eps, "normalized": False}
-    return _field(grid, values, dmin, eps, meta)
+    return _field(grid, values, dmin, eps, {"scatterer": tuple(scene.scatterer)})
 
 
 def magnitude_db(field_: ComplexField, floor_db: float) -> np.ndarray:

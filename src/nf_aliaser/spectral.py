@@ -133,12 +133,3 @@ def aliasing_oracle_many(array: ArrayGeometry, points, scatterer, wave: WavePara
                                       epsilon))[0] / reference.num_elements
     scale = np.maximum(np.maximum(coarse, dense), floor_fraction * matched)
     return np.abs(coarse - dense) > ratio * scale
-
-
-def aliasing_oracle(array: ArrayGeometry, tentative, scatterer, wave: WaveParams,
-                    ratio: float = 0.5, epsilon=None,
-                    floor_fraction: float = ORACLE_FLOOR_FRACTION) -> bool:
-    """True when the tentative point's image value is corrupted by aliasing."""
-    verdict = aliasing_oracle_many(array, np.asarray(tentative, dtype=float)[None, :],
-                                   scatterer, wave, ratio, epsilon, floor_fraction)
-    return bool(verdict[0])

@@ -1,4 +1,4 @@
-"""Spherical-wave factor, bistatic point-scatterer signal, and the spatial chirp.
+"""Spherical-wave factor and the spatial chirp.
 
 All functions broadcast over leading dimensions of their position arguments
 (trailing dimension = spatial components) and are pure.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularityError
-from .geometry import Scene, WaveParams
+from .geometry import WaveParams
 
 # Exclusion radius around point sources, as a fraction of the wavelength.
 # The 1/r factor diverges at r -> 0; evaluation inside is refused.
@@ -35,16 +35,6 @@ def green(source, probe, wave: WaveParams, epsilon=None):
     eps = exclusion_radius(wave, epsilon)
     r = _checked_distance(source, probe, eps, "green")
     return np.exp(-1j * wave.wavenumber * r) / r
-
-
-def received_signal(rx, tx, scene: Scene, wave: WaveParams, epsilon=None):
-    """Noise-free narrowband signal at rx from tx via the point scatterer.
-
-    reflectivity * green(scatterer, rx) * green(scatterer, tx).
-    """
-    return (scene.reflectivity
-            * green(scene.scatterer, rx, wave, epsilon)
-            * green(scene.scatterer, tx, wave, epsilon))
 
 
 def chirp_phase(probe, tentative, scatterer, wave: WaveParams, epsilon=None):

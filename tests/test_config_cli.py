@@ -181,6 +181,15 @@ class TestPresets:
         centers = [config.grid.axis_centers(j)[i] for j, i in enumerate(idx)]
         np.testing.assert_allclose(centers, [1000.0, 1000.0], atol=1e-9)
 
+    def test_resolved_echoes_given_lengths(self):
+        # lengths are echoed in wavelengths exactly as given
+        cfg = preset_config("fig1")
+        cfg["wave"]["lambda"] = 0.7
+        resolved = resolve_config(cfg).resolved
+        assert resolved["scene"]["scatterer"] == [1000.0, 1000.0]
+        assert resolved["grid"]["max"] == [1850.0, 1850.0]
+        assert resolved["tx"]["spacings_lambda"] == [7.8125]
+
     def test_fig2_presets_sweep(self):
         a = resolve_config(preset_config("fig2a"))
         assert a.sweep_param == "spacing" and a.sweep_values == (16, 64)

@@ -10,7 +10,6 @@ from nf_aliaser import (
     Scene,
     WaveParams,
     build_uniform_array,
-    element_positions,
 )
 from nf_aliaser.geometry import min_element_distance
 
@@ -29,12 +28,12 @@ def test_wavelength_must_be_positive(bad):
 
 def test_two_element_lattice():
     arr = build_uniform_array([0, 0], [[1, 0]], [2], [0.5], "transmit")
-    np.testing.assert_allclose(element_positions(arr), [[0, 0], [0.5, 0]])
+    np.testing.assert_allclose(arr.element_positions(), [[0, 0], [0.5, 0]])
 
 
 def test_single_element_array():
     arr = build_uniform_array([3.0, -2.0], [[0, 1]], [1], [1.0], "receive")
-    np.testing.assert_allclose(element_positions(arr), [[3.0, -2.0]])
+    np.testing.assert_allclose(arr.element_positions(), [[3.0, -2.0]])
     assert arr.sampled_axes() == ()
 
 
@@ -45,7 +44,7 @@ def test_fig1_style_linear_array():
     arr = build_uniform_array(origin, [[1, 0]], [64], [spacing], "transmit")
     assert arr.num_elements == 64
     np.testing.assert_allclose(arr.center, [500.0, 0.0], atol=1e-12)
-    pos = element_positions(arr)
+    pos = arr.element_positions()
     assert pos.shape == (64, 2)
     np.testing.assert_allclose(pos[:, 1], 0.0)
     np.testing.assert_allclose(pos[-1, 0] - pos[0, 0], 63 * spacing, rtol=1e-14)
@@ -54,7 +53,7 @@ def test_fig1_style_linear_array():
 def test_receive_array_along_y_has_constant_x():
     spacing = 500.0 / 64
     arr = build_uniform_array([0.0, 250.0], [[0, 1]], [64], [spacing], "receive")
-    pos = element_positions(arr)
+    pos = arr.element_positions()
     assert np.all(pos[:, 0] == 0.0)
     assert len(pos) == 64
 
@@ -63,7 +62,7 @@ def test_planar_array_matches_double_loop():
     spacing = 0.7
     arr = build_uniform_array([1.0, 2.0], [[1, 0], [0, 1]], [64, 64],
                               [spacing, spacing], "transmit")
-    pos = element_positions(arr)
+    pos = arr.element_positions()
     assert pos.shape == (64 * 64, 2)
     expected = np.array([[1.0 + i * spacing, 2.0 + j * spacing]
                          for i in range(64) for j in range(64)])
@@ -80,7 +79,7 @@ def test_random_rotated_lattice_matches_triple_loop():
     counts = (3, 4, 2)
     spacings = rng.uniform(0.2, 2.0, 3)
     arr = build_uniform_array(origin, [ax1, ax2, ax3], counts, spacings, "transmit")
-    pos = element_positions(arr)
+    pos = arr.element_positions()
     brute = []
     for i in range(counts[0]):
         for j in range(counts[1]):
@@ -102,7 +101,7 @@ def test_lattice_exactness_and_count(counts, spacing0, spacing1, theta):
     ax2 = np.array([-np.sin(theta), np.cos(theta)])
     arr = build_uniform_array([0.3, -0.7], [ax1, ax2], counts,
                               [spacing0, spacing1], "receive")
-    pos = element_positions(arr).reshape(counts + (2,))
+    pos = arr.element_positions().reshape(counts + (2,))
     assert pos.shape[0] * pos.shape[1] == arr.num_elements
     if counts[0] >= 2:
         steps = pos[1:, :, :] - pos[:-1, :, :]
@@ -117,8 +116,8 @@ def test_lattice_exactness_and_count(counts, spacing0, spacing1, theta):
 def test_element_positions_deterministic():
     arr = build_uniform_array([0.1, 0.2], [[1, 0], [0, 1]], [5, 7], [0.31, 0.57],
                               "transmit")
-    a = element_positions(arr)
-    b = element_positions(arr)
+    a = arr.element_positions()
+    b = arr.element_positions()
     assert np.array_equal(a, b)
 
 

@@ -162,6 +162,14 @@ class TestBistaticImage:
         with pytest.raises(GridError):
             bistatic_image(f1, f2, 1.0)
 
+    def test_scene_mismatch_rejected(self):
+        grid = EvalGrid([0.0, 0.0], [10.0, 10.0], (4, 4))
+        arr = build_uniform_array([0.0, 0.0], [[1, 0]], [2], [1.0], "transmit")
+        f1 = partial_image(arr, Scene([50.0, 50.0]), WAVE, grid)
+        f2 = partial_image(arr, Scene([60.0, 50.0]), WAVE, grid)
+        with pytest.raises(GridError, match="different scenes"):
+            bistatic_image(f1, f2, 1.0)
+
     def test_reflectivity_linearity(self):
         rng = np.random.default_rng(11)
         tx = random_lattice(rng, "transmit")

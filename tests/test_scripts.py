@@ -1,0 +1,44 @@
+"""Smoke tests for the reproduction scripts under scripts/."""
+
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_spectrum_vs_bound_writes_rows(tmp_path):
+    out = tmp_path / "spectrum.csv"
+    result = run_script("spectrum_vs_bound.py", "--points", "3", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert len(rows) == 3
+
+
+@pytest.mark.parametrize("name", ["parameter_trends.py", "run_figures.py"])
+def test_imports_resolve(name):
+    namespace = runpy.run_path(str(SCRIPTS / name), run_name="smoke")
+    assert callable(namespace["main"])
+
+
+# run_figures.py gets --presets with no names, so it would run nothing if
+# --threads 0 were accepted.
+@pytest.mark.parametrize("name, extra", [("run_figures.py", ["--presets"]),
+                                         ("parameter_trends.py", [])])
+def test_threads_zero_rejected(tmp_path, name, extra):
+    result = run_script(name, "--threads", "0", *extra)
+    assert result.returncode == 2
+    assert "--threads" in result.stderr

@@ -5,7 +5,6 @@ from nf_aliaser import (
     GeometryError,
     WaveParams,
     aliasing_free,
-    aliasing_oracle,
     build_uniform_array,
     chirp_value,
     max_spatial_frequency,
@@ -134,14 +133,14 @@ class TestAliasingOracle:
         assert not verdicts.any()
 
     def test_matched_point_not_aliased(self):
-        assert not aliasing_oracle(FIG1_TX, [1000.0, 1000.0], FIG1_XS, WAVE)
+        assert not aliasing_oracle_many(FIG1_TX, [1000.0, 1000.0], FIG1_XS, WAVE)[0]
 
     def test_known_aliased_point(self):
         # far across the array: the chirp condition fails and the coarse sum
         # carries a spurious response the dense reference does not
         point = [0.0, 1000.0]
         assert not aliasing_free(FIG1_TX, point, FIG1_XS, WAVE).ok
-        assert aliasing_oracle(FIG1_TX, point, FIG1_XS, WAVE)
+        assert aliasing_oracle_many(FIG1_TX, point, FIG1_XS, WAVE)[0]
 
     def test_oracle_agrees_with_combined_mask_on_fig1_sample(self):
         # the bistatic mask is the intersection of the per-array conditions,

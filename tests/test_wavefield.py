@@ -4,13 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nf_aliaser import (
-    Scene,
     SingularityError,
     WaveParams,
     chirp_phase,
     chirp_value,
     green,
-    received_signal,
 )
 
 WAVE = WaveParams(1.0)
@@ -60,25 +58,6 @@ class TestGreen:
         vals = green([0.0, 0.0], probes, WAVE)
         assert vals.shape == (3,)
         np.testing.assert_allclose(np.abs(vals), [1.0, 0.5, 1.0 / 3.0], rtol=1e-14)
-
-
-class TestReceivedSignal:
-    def test_unit_reflectivity_symmetric(self):
-        scene = Scene([0.0, 0.0], 1.0)
-        val = received_signal([1.0, 0.0], [0.0, 1.0], scene, WAVE)
-        assert val == pytest.approx(1.0 + 0.0j, rel=1e-12)
-
-    def test_linear_in_reflectivity(self):
-        rx, tx = [3.0, 1.0], [-2.0, 4.0]
-        base = received_signal(rx, tx, Scene([0.5, 0.5], 1.0), WAVE)
-        scaled = received_signal(rx, tx, Scene([0.5, 0.5], 2.0j), WAVE)
-        assert scaled == pytest.approx(2.0j * base, rel=1e-14)
-
-    def test_composes_from_green(self):
-        scene = Scene([1000.0, 1000.0], 1.0)
-        rx, tx = [0.0, 500.0], [500.0, 0.0]
-        expected = green(scene.scatterer, rx, WAVE) * green(scene.scatterer, tx, WAVE)
-        assert received_signal(rx, tx, scene, WAVE) == pytest.approx(expected, rel=1e-14)
 
 
 class TestChirp:
