@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 
 from nf_aliaser import resolve_config, sweep
-from nf_aliaser.cli import _thread_count
+from nf_aliaser.cli import add_threads_option
 from nf_aliaser.presets import preset_config
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--threads", type=_thread_count, default=1)
+    add_threads_option(parser)
     args = parser.parse_args()
 
     studies = [

@@ -16,14 +16,14 @@ import time
 from pathlib import Path
 
 from nf_aliaser import resolve_config, run
-from nf_aliaser.cli import _thread_count
+from nf_aliaser.cli import add_threads_option
 from nf_aliaser.presets import PRESETS, preset_config
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("out"))
-    parser.add_argument("--threads", type=_thread_count, default=1)
+    add_threads_option(parser)
     parser.add_argument("--presets", nargs="*", default=sorted(PRESETS))
     args = parser.parse_args()
 

@@ -8,6 +8,7 @@ import sys
 
 from .config import SWEEP_PARAMS, load_config, resolve_config
 from .errors import ConfigError, GeometryError, GridError, SingularityError
+from .imaging import default_threads
 from .presets import PRESETS, preset_config
 from .runner import run, sweep
 
@@ -23,6 +24,13 @@ def _thread_count(text: str) -> int:
     return threads
 
 
+def add_threads_option(parser: argparse.ArgumentParser) -> None:
+    """--threads, defaulting to the CPUs this process may run on."""
+    threads = default_threads()
+    parser.add_argument("--threads", type=_thread_count, default=threads,
+                        help=f"compute threads (default: {threads}, the available CPUs)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nf-aliaser",
@@ -33,12 +41,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a JSON configuration")
     p_run.add_argument("config", help="path to a config.json")
     p_run.add_argument("--out", default="nf_aliaser_out", help="output directory")
-    p_run.add_argument("--threads", type=_thread_count, default=1, help="compute threads")
+    add_threads_option(p_run)
 
     p_preset = sub.add_parser("preset", help="run a built-in figure preset")
     p_preset.add_argument("name", choices=sorted(PRESETS), help="preset name")
     p_preset.add_argument("--out", default=None, help="output directory (default: out_<name>)")
-    p_preset.add_argument("--threads", type=_thread_count, default=1)
+    add_threads_option(p_preset)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter of a configuration")
     p_sweep.add_argument("config", help="path to a config.json")
@@ -46,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True,
                          help="JSON list of sweep values, e.g. '[16, 64]'")
     p_sweep.add_argument("--out", default="nf_aliaser_out", help="output directory")
-    p_sweep.add_argument("--threads", type=_thread_count, default=1)
+    add_threads_option(p_sweep)
     return parser
 
 

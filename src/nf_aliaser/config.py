@@ -178,6 +178,11 @@ def resolve_config(data: dict) -> RunConfig:
     gr = cfg["grid"]
     grid = _build("grid", EvalGrid, corner_min=np.asarray(gr["min"]) * wavelength,
                   corner_max=np.asarray(gr["max"]) * wavelength, resolution=gr["resolution"])
+    dims = {"scene.scatterer": len(scene.scatterer), "tx": tx.ndim, "rx": rx.ndim,
+            "grid": grid.ndim}
+    if len(set(dims.values())) > 1:
+        raise ConfigError("scene.scatterer, tx, rx and grid must share one dimensionality, got "
+                          + ", ".join(f"{k} {d}" for k, d in dims.items()))
 
     thr = cfg["thresholds"]
     for key, value in thr.items():

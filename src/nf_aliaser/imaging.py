@@ -6,6 +6,7 @@ results are bit-identical no matter how the cell loop is chunked or threaded.
 
 from __future__ import annotations
 
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -19,6 +20,15 @@ from .wavefield import exclusion_radius
 # Cells per work block of _run_blocks, which runs every per-cell kernel; fixed
 # so the decomposition (and the output bits) do not depend on the thread count.
 CELL_BLOCK = 8192
+
+
+def default_threads() -> int:
+    """The CPUs this process may run on: the default thread count of run,
+    sweep and the command line."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass
@@ -39,8 +49,8 @@ def _run_blocks(kernel, grid: EvalGrid, threads: int) -> tuple:
 
     The grid is cut into row-major blocks of CELL_BLOCK cells whose centers
     are generated when the block runs, so memory for centers does not grow
-    with the grid. Returns one whole-grid array per kernel output, in
-    row-major order.
+    with the grid. Blocks run on min(threads, number of blocks) threads.
+    Returns one whole-grid array per kernel output, in row-major order.
     """
     n = grid.num_cells
     outputs = []
@@ -59,11 +69,12 @@ def _run_blocks(kernel, grid: EvalGrid, threads: int) -> tuple:
             out[start:stop] = p
 
     starts = range(0, n, CELL_BLOCK)
-    if threads <= 1:
+    workers = min(threads, len(starts))
+    if workers <= 1:
         for start in starts:
             block(start)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(block, starts))
     return tuple(outputs)
 

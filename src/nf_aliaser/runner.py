@@ -11,7 +11,7 @@ from .chirp import AliasingMask, aliasing_mask
 from .config import RunConfig, SWEEP_PARAMS, _as_int
 from .errors import ConfigError
 from .geometry import ArrayGeometry, Scene
-from .imaging import bistatic_image, partial_image
+from .imaging import bistatic_image, default_threads, partial_image
 from .outputs import (
     write_field_csv,
     write_field_pgm,
@@ -212,18 +212,24 @@ def _sweep_products(config: RunConfig, param, values, out_dir, threads: int):
 
 
 def sweep(config: RunConfig, param: str | None = None, values=None,
-          out_dir=None, threads: int = 1) -> list:
+          out_dir=None, threads: int | None = None) -> list:
     """Evaluate mask/image statistics across a parameter sweep.
 
     Returns one summary row per value; when out_dir is given, also writes the
-    per-value mask products and the summary CSV.
+    per-value mask products and the summary CSV. threads defaults to
+    default_threads().
     """
+    threads = default_threads() if threads is None else threads
     rows, _ = _sweep_products(config, param, values, out_dir, threads)
     return rows
 
 
-def run(config: RunConfig, out_dir, threads: int = 1) -> dict:
-    """Compute every requested product, write artifacts, and return the manifest."""
+def run(config: RunConfig, out_dir, threads: int | None = None) -> dict:
+    """Compute every requested product, write artifacts, and return the manifest.
+
+    threads defaults to default_threads(); the products do not depend on it.
+    """
+    threads = default_threads() if threads is None else threads
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     eps = config.thresholds.epsilon(config.wave)

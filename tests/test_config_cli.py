@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from nf_aliaser import ConfigError, WaveParams, load_config, resolve_config, run, sweep
-from nf_aliaser.cli import main
+from nf_aliaser import runner
+from nf_aliaser.cli import _build_parser, main
 from nf_aliaser.config import Thresholds
+from nf_aliaser.imaging import default_threads
 from nf_aliaser.presets import PRESETS, preset_config
 from nf_aliaser.runner import _sweep_variant
 from nf_aliaser.wavefield import exclusion_radius
@@ -135,6 +137,12 @@ class TestLoadConfig:
         text = json.dumps(small_config(thresholds={key: value}))
         with pytest.raises(ConfigError, match=rf"^thresholds\.{key}: must be finite"):
             load_config(text)
+
+    @pytest.mark.parametrize("scatterer", [[40.0, 40.0, 0.0], [40.0]])
+    def test_scatterer_dimension_mismatch_rejected(self, scatterer):
+        cfg = small_config(scene={"scatterer": scatterer})
+        with pytest.raises(ConfigError, match=r"^scene\.scatterer, tx, rx and grid must share"):
+            resolve_config(cfg)
 
     @pytest.mark.parametrize("key", ["reflectivity_re", "reflectivity_im"])
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
@@ -393,6 +401,29 @@ class TestCli:
                                                 thresholds={"support_db": np.nan})))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "thresholds.support_db: must be finite" in capsys.readouterr().err
+
+    def test_scatterer_dimension_mismatch_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_config(scene={"scatterer": [40.0, 40.0, 0.0]})))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "scene.scatterer 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "preset", "sweep"])
+    def test_threads_default_is_available_cpus(self, command):
+        argv = {"run": ["run", "cfg.json"], "preset": ["preset", "fig1"],
+                "sweep": ["sweep", "cfg.json", "--param", "spacing", "--values", "[4]"]}
+        assert _build_parser().parse_args(argv[command]).threads == default_threads()
+
+    def test_library_threads_default(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(runner, "default_threads", lambda: 3)
+        monkeypatch.setattr(runner, "_compute", lambda *args: seen.append(args[-1]) or {})
+        monkeypatch.setattr(runner, "_sweep_products",
+                            lambda *args: seen.append(args[-1]) or ([], {}))
+        config = resolve_config(small_config(outputs=["mask"]))
+        run(config, tmp_path / "run")
+        sweep(config, "spacing", [4])
+        assert seen == [3, 3]
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.json")]) == 2

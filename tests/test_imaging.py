@@ -16,7 +16,8 @@ from nf_aliaser import (
     partial_image,
     partial_image_at,
 )
-from nf_aliaser.imaging import CELL_BLOCK, _distance
+from nf_aliaser import imaging
+from nf_aliaser.imaging import CELL_BLOCK, _distance, _run_blocks
 
 WAVE = WaveParams(1.0)
 
@@ -293,6 +294,20 @@ class TestBlocks:
                 np.testing.assert_array_equal(a.free, b.free)
         else:
             np.testing.assert_array_equal(serial.values, threaded.values)
+
+    @pytest.mark.parametrize("threads, workers", [(1, None), (2, 2), (8, 3)])
+    def test_no_more_workers_than_blocks(self, monkeypatch, threads, workers):
+        pools = []
+        executor = imaging.ThreadPoolExecutor
+
+        def recording(max_workers):
+            pools.append(max_workers)
+            return executor(max_workers=max_workers)
+
+        monkeypatch.setattr(imaging, "ThreadPoolExecutor", recording)
+        (ones,) = _run_blocks(lambda cells: (np.ones(len(cells)),), BLOCK_GRID, threads)
+        assert pools == ([] if workers is None else [workers])
+        assert ones.shape == (BLOCK_GRID.num_cells,) and ones.all()
 
     def test_partial_image_matches_point_evaluator_bitwise(self):
         field = partial_image(BLOCK_TX, BLOCK_SCENE, WAVE, BLOCK_GRID, threads=2)

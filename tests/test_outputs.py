@@ -12,9 +12,11 @@ from nf_aliaser import (
     build_uniform_array,
     magnitude_db,
 )
+from nf_aliaser.floatfmt import python_formatted
 from nf_aliaser.outputs import (
     PAIR_ROWS,
     _grid_comments,
+    _write_pairs_csv,
     fmt,
     write_field_csv,
     write_field_pgm,
@@ -130,7 +132,7 @@ GRIDS = {
     "3x5": EvalGrid([0.0, -1.0], [3.0, 4.0], (3, 5)),
     "80x61": EvalGrid([0.5, 0.0], [1.5, 2.0], (80, 61)),
 }
-# The field CSV is written PAIR_ROWS rows at a time; 80x61 spans two writes.
+# The field CSV is written PAIR_ROWS rows at a time; 80x61 spans several writes.
 assert 80 * 61 > PAIR_ROWS
 
 
@@ -185,3 +187,65 @@ def test_spectrum_csv_bytes(tmp_path):
             "# support_max: 0.10000000000000001", "# columns: wavenumber,magnitude_db"]
     rows = [f"{fmt(f)},{fmt(v)}" for f, v in zip(support.frequencies, db)]
     assert (tmp_path / "s.csv").read_bytes() == _reference_text(head, rows).encode("ascii")
+
+
+# Differential checks of the vectorized pair writer against "%.17g" applied to
+# one value at a time.
+def _check_pairs(tmp_path, values):
+    x = np.asarray(values, dtype=np.float64).ravel()
+    if len(x) % 2:
+        x = np.append(x, 0.5)
+    pairs = x.reshape(-1, 2)
+    path = tmp_path / "pairs.csv"
+    _write_pairs_csv(path, ["# head"], pairs)
+    expected = ["# head"] + ["%.17g,%.17g" % (a, b) for a, b in pairs.tolist()]
+    assert path.read_text(encoding="ascii").split("\n") == expected + [""]
+
+
+def _with_neighbours(values):
+    v = np.asarray(values, dtype=np.float64)
+    v = np.concatenate([v, -v])
+    return np.concatenate([v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)])
+
+
+BIG = np.finfo(np.float64).max
+PAIR_CASES = {
+    # Special values next to ordinary ones, within a row and across rows.
+    "special": [v for s in (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                            BIG, -BIG, 2.2250738585072014e-308, 1e-300, 1e-280, 1e280)
+                for v in (s, 0.1, 0.1, s)],
+    "powers_of_ten": _with_neighbours([float(f"1e{k}") for k in range(-30, 31)]
+                                      + [10.0 ** k for k in range(-30, 31)]),
+    "round_up_to_next_decade": _with_neighbours(
+        [float(f"9.9999999999999999e{k}") for k in range(-30, 31)]
+        + [float(f"9.99999999999999995e{k}") for k in range(-30, 31)]),
+    "style_boundaries": _with_neighbours([1e-4, 1e-5, 1e16, 1e17, 1e18, 0.000123456789,
+                                          123456789012345678.0]),
+    # Exact halves at the 17th digit: (2**52 + 1) / 4 ends in .25 and
+    # (2**52 + 3) / 8 in .375; 3 * 2**-24 and 2**-25 are halves at 10**23, 10**24.
+    "exact_ties": _with_neighbours([(2 ** 52 + 1) / 4, (2 ** 52 + 3) / 8, (2 ** 52 + 5) / 4,
+                                    3 * 2.0 ** -24, 2.0 ** -25, 3 * 2.0 ** -25, 0.5, 2.5e-5]),
+    "random_bit_patterns": np.random.default_rng(7).integers(
+        0, 2 ** 64, size=20_000, dtype=np.uint64).view(np.float64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_CASES))
+def test_pairs_match_per_value_format(tmp_path, case):
+    _check_pairs(tmp_path, PAIR_CASES[case])
+
+
+def test_pairs_seeded_every_decade(tmp_path):
+    rng = np.random.default_rng(2024)
+    decades = np.arange(-324, 309)
+    mantissa = rng.uniform(1.0, 10.0, size=(len(decades), 316))
+    with np.errstate(over="ignore"):
+        values = mantissa * 10.0 ** decades[:, None].astype(float)
+    values *= rng.choice([-1.0, 1.0], size=values.shape)
+    assert values.size > 200_000
+    _check_pairs(tmp_path, rng.permutation(values.ravel()))
+
+
+def test_pairs_python_formatted_count():
+    values = [0.0, -0.0, 1.0, 0.1, np.inf, np.nan, 5e-324, 1e-300, 1e300, 2.0 ** -25]
+    assert python_formatted(values) == 6

@@ -42,3 +42,24 @@ def test_threads_zero_rejected(tmp_path, name, extra):
     result = run_script(name, "--threads", "0", *extra)
     assert result.returncode == 2
     assert "--threads" in result.stderr
+
+
+def test_check_float_format_smoke():
+    result = run_script("check_float_format.py", "--values", "3", "--seed", "1")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "values: 1900, formatted by Python: " in result.stdout
+    assert result.stdout.rstrip().endswith("mismatching rows: 0")
+
+
+def test_check_float_format_flags_a_mismatch(monkeypatch, capsys):
+    main = runpy.run_path(str(SCRIPTS / "check_float_format.py"), run_name="smoke")["main"]
+    write = main.__globals__["_write_pairs_csv"]
+
+    def off_by_one_digit(path, head, pairs):
+        write(path, head, pairs)
+        text = path.read_text(encoding="ascii")
+        path.write_text(text.replace("e-1", "e-2", 1), encoding="ascii")
+
+    monkeypatch.setitem(main.__globals__, "_write_pairs_csv", off_by_one_digit)
+    assert main(["--values", "3", "--seed", "1"]) == 1
+    assert "mismatching rows: 1" in capsys.readouterr().out
