@@ -4,10 +4,10 @@
 For each decade 10**k, k = -324..308, draws --values doubles with a uniform
 mantissa in [1, 10) and a random sign (the lowest decades are subnormal, the
 top one overflows partly to inf), writes them as rows of two through
-`outputs._write_pairs_csv`, and compares every row with "%.17g" applied to one
-value at a time. Prints the count of values checked, of values formatted by
-Python instead of the vectorized path, and of mismatching rows; exits 1 on any
-mismatch.
+`outputs._write_pairs_csv`, CHECK_ROWS rows per file, and compares every row
+with "%.17g" applied to one value at a time. Prints the count of values
+checked, of values formatted by Python instead of the vectorized path, and of
+mismatching rows; exits 1 on any mismatch.
 
     python scripts/check_float_format.py --values 5000 --seed 1
 """
@@ -25,6 +25,7 @@ from nf_aliaser.floatfmt import python_formatted
 from nf_aliaser.outputs import _write_pairs_csv
 
 DECADES = np.arange(-324, 309)
+CHECK_ROWS = 200_000
 
 
 def seeded_values(per_decade: int, seed: int) -> np.ndarray:
@@ -48,19 +49,26 @@ def main(argv=None) -> int:
     if len(values) % 2:
         values = np.append(values, 1.0)
     pairs = values.reshape(-1, 2)
+    bad, python = [], 0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "pairs.csv"
-        _write_pairs_csv(path, ["# float format check"], pairs)
-        rows = path.read_text(encoding="ascii").split("\n")[1:-1]
-    expected = ["%.17g,%.17g" % (a, b) for a, b in pairs.tolist()]
-    bad = [i for i, (got, want) in enumerate(zip(rows, expected)) if got != want]
-    if len(rows) != len(expected):
-        bad.append(min(len(rows), len(expected)))
-    for i in bad[:10]:
-        got = rows[i] if i < len(rows) else "<missing>"
-        want = expected[i] if i < len(expected) else "<none>"
-        print(f"row {i}: wrote {got!r}, %.17g gives {want!r}")
-    print(f"values: {len(values)}, formatted by Python: {python_formatted(values)}, "
+        # CHECK_ROWS rows per file, so the strings held do not grow with --values.
+        for start in range(0, len(pairs), CHECK_ROWS):
+            chunk = pairs[start:start + CHECK_ROWS]
+            python += python_formatted(chunk)
+            _write_pairs_csv(path, ["# float format check"], chunk)
+            rows = path.read_text(encoding="ascii").split("\n")[1:-1]
+            expected = ["%.17g,%.17g" % (a, b) for a, b in chunk.tolist()]
+            if len(rows) != len(expected):
+                print(f"rows {start}-: wrote {len(rows)} rows for {len(expected)} pairs")
+                bad.append(start)
+                continue
+            for i, (got, want) in enumerate(zip(rows, expected)):
+                if got != want:
+                    if len(bad) < 10:
+                        print(f"row {start + i}: wrote {got!r}, %.17g gives {want!r}")
+                    bad.append(start + i)
+    print(f"values: {len(values)}, formatted by Python: {python}, "
           f"mismatching rows: {len(bad)}")
     return 1 if bad else 0
 
