@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridError, SingularityError
+from .errors import GridError
 from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams
 from .imaging import _block_columns, _distance, _run_blocks, _scatterer_distances
-from .wavefield import exclusion_radius
+from .wavefield import _checked_distance, exclusion_radius
 
 AliasingVerdict = namedtuple("AliasingVerdict", ["per_axis", "ok"])
 
@@ -30,13 +30,8 @@ def local_wavenumber(probe, tentative, scatterer, wave: WaveParams, epsilon=None
     dimensions, trailing dimension = spatial components.
     """
     eps = exclusion_radius(wave, epsilon)
-    p = np.asarray(probe, dtype=float)
-    dt_vec = p - np.asarray(tentative, dtype=float)
-    ds_vec = p - np.asarray(scatterer, dtype=float)
-    d_t = np.sqrt(np.sum(dt_vec * dt_vec, axis=-1))
-    d_s = np.sqrt(np.sum(ds_vec * ds_vec, axis=-1))
-    if np.any(d_t <= eps) or np.any(d_s <= eps):
-        raise SingularityError("probe within the exclusion radius of tentative or scatterer")
+    d_t, dt_vec = _checked_distance(probe, tentative, eps, "local_wavenumber")
+    d_s, ds_vec = _checked_distance(probe, scatterer, eps, "local_wavenumber")
     return wave.wavenumber * (dt_vec / d_t[..., None] - ds_vec / d_s[..., None])
 
 
@@ -94,10 +89,9 @@ class AliasingMask:
 def _element_terms(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
     """Inputs both mask kernels share: elements, sampled axes, their unit
     vectors and per-element scatterer projections pu[ja]."""
-    elements, d_s = _scatterer_distances(array, scatterer, eps)
+    elements, d_s, ds_vec = _scatterer_distances(array, scatterer, eps, array.ndim)
     axes_idx = array.sampled_axes()
     units = [array.axes[j] for j in axes_idx]
-    ds_vec = elements - scatterer[None, :]
     pu = [(ds_vec @ u) / d_s for u in units]
     return elements, axes_idx, units, pu
 

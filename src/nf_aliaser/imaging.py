@@ -9,13 +9,13 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridError, SingularityError
 from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams
-from .wavefield import exclusion_radius
+from .wavefield import _checked_distance, exclusion_radius
 
 # Cells per work block of _run_blocks, which runs every per-cell kernel; fixed
 # so the decomposition (and the output bits) do not depend on the thread count.
@@ -35,13 +35,13 @@ def default_threads() -> int:
 class ComplexField:
     """Complex value per grid cell plus an explicit exclusion flag.
 
-    meta["scatterer"] lets bistatic_image refuse partial images of two scenes.
+    scatterer lets bistatic_image refuse partial images of two scenes.
     """
 
     grid: EvalGrid
     values: np.ndarray
     excluded: np.ndarray
-    meta: dict = field(default_factory=dict)
+    scatterer: tuple | None = None
 
 
 def _run_blocks(kernel, grid: EvalGrid, threads: int) -> tuple:
@@ -102,19 +102,21 @@ def _block_columns(cells: np.ndarray) -> tuple:
     return np.ascontiguousarray(cells.T), np.empty(n), np.empty(n)
 
 
-def _scatterer_distances(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
-    """Element positions and their distances to the scatterer.
+def _scatterer_distances(array: ArrayGeometry, scatterer: np.ndarray, eps: float, ndim: int):
+    """Element positions, their distances to the scatterer and the offsets
+    elements - scatterer, for points of ndim coordinates.
 
-    Raises SingularityError when the scatterer lies within the exclusion
-    radius of an element.
+    Raises GridError unless points, array and scatterer share one
+    dimensionality, and SingularityError when the scatterer lies within eps
+    of an element.
     """
+    if ndim != array.ndim:
+        raise GridError(f"{ndim}D points and a {array.ndim}D {array.role_tag} array must "
+                        "share one dimensionality")
     elements = array.element_positions()
-    d_s = np.linalg.norm(elements - scatterer[None, :], axis=-1)
-    if np.any(d_s <= eps):
-        raise SingularityError(
-            f"scatterer lies within the exclusion radius {eps:.6g} of a {array.role_tag} element"
-        )
-    return elements, d_s
+    d_s, ds_vec = _checked_distance(elements, scatterer, eps,
+                                    f"scatterer and {array.role_tag} elements")
+    return elements, d_s, ds_vec
 
 
 def _chirp_sum(elements: np.ndarray, d_s: np.ndarray, k: float, points: np.ndarray):
@@ -136,7 +138,7 @@ def _chirp_sum(elements: np.ndarray, d_s: np.ndarray, k: float, points: np.ndarr
 
 
 def _field(grid: EvalGrid, values: np.ndarray, dmin: np.ndarray, eps: float,
-           meta: dict) -> ComplexField:
+           scatterer: np.ndarray) -> ComplexField:
     """Zero and flag the cells within eps of an element, shaped as the grid."""
     excluded = dmin <= eps
     if excluded.all():
@@ -144,7 +146,7 @@ def _field(grid: EvalGrid, values: np.ndarray, dmin: np.ndarray, eps: float,
     values[excluded] = 0.0
     shape = grid.resolution
     return ComplexField(grid=grid, values=values.reshape(shape),
-                        excluded=excluded.reshape(shape), meta=meta)
+                        excluded=excluded.reshape(shape), scatterer=tuple(scatterer))
 
 
 def partial_image_at(array: ArrayGeometry, points, scene: Scene, wave: WaveParams,
@@ -157,8 +159,8 @@ def partial_image_at(array: ArrayGeometry, points, scene: Scene, wave: WaveParam
     radius of an element.
     """
     eps = exclusion_radius(wave, epsilon)
-    elements, d_s = _scatterer_distances(array, scene.scatterer, eps)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    elements, d_s, _ = _scatterer_distances(array, scene.scatterer, eps, pts.shape[-1])
     acc, near = _chirp_sum(elements, d_s, wave.wavenumber, pts)
     if np.any(near <= eps):
         raise SingularityError(
@@ -175,13 +177,10 @@ def partial_image(array: ArrayGeometry, scene: Scene, wave: WaveParams, grid: Ev
     carry the value 0.
     """
     eps = exclusion_radius(wave, epsilon)
-    elements, d_s = _scatterer_distances(array, scene.scatterer, eps)
-    if grid.ndim != array.ndim:
-        raise GridError(f"grid dimensionality {grid.ndim} != array dimensionality {array.ndim}")
-
+    elements, d_s, _ = _scatterer_distances(array, scene.scatterer, eps, grid.ndim)
     values, dmin = _run_blocks(lambda cells: _chirp_sum(elements, d_s, wave.wavenumber, cells),
                                grid, threads)
-    return _field(grid, values, dmin, eps, {"scatterer": tuple(scene.scatterer)})
+    return _field(grid, values, dmin, eps, scene.scatterer)
 
 
 def bistatic_image(tx_field: ComplexField, rx_field: ComplexField,
@@ -192,15 +191,14 @@ def bistatic_image(tx_field: ComplexField, rx_field: ComplexField,
             or not np.array_equal(gt.corner_min, gr.corner_min)
             or not np.array_equal(gt.corner_max, gr.corner_max)):
         raise GridError("partial images must share one evaluation grid")
-    scat_t = tx_field.meta.get("scatterer")
-    scat_r = rx_field.meta.get("scatterer")
+    scat_t, scat_r = tx_field.scatterer, rx_field.scatterer
     if scat_t is not None and scat_r is not None and scat_t != scat_r:
         raise GridError("partial images were computed for different scenes")
 
     values = complex(reflectivity) * tx_field.values * rx_field.values
     excluded = tx_field.excluded | rx_field.excluded
     values = np.where(excluded, 0.0, values)
-    return ComplexField(grid=gt, values=values, excluded=excluded, meta={"scatterer": scat_t})
+    return ComplexField(grid=gt, values=values, excluded=excluded, scatterer=scat_t)
 
 
 def direct_image(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: WaveParams,
@@ -211,10 +209,8 @@ def direct_image(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: WaveP
     accumulation is sequential in (tx-element, rx-element) lattice order.
     """
     eps = exclusion_radius(wave, epsilon)
-    et, dst = _scatterer_distances(tx, scene.scatterer, eps)
-    er, dsr = _scatterer_distances(rx, scene.scatterer, eps)
-    if grid.ndim != tx.ndim or grid.ndim != rx.ndim:
-        raise GridError("grid and arrays must share one dimensionality")
+    et, dst, _ = _scatterer_distances(tx, scene.scatterer, eps, grid.ndim)
+    er, dsr, _ = _scatterer_distances(rx, scene.scatterer, eps, grid.ndim)
 
     k = wave.wavenumber
     zeta = scene.reflectivity
@@ -241,7 +237,7 @@ def direct_image(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: WaveP
         return acc, near
 
     values, dmin = _run_blocks(kernel, grid, threads)
-    return _field(grid, values, dmin, eps, {"scatterer": tuple(scene.scatterer)})
+    return _field(grid, values, dmin, eps, scene.scatterer)
 
 
 def magnitude_db(field_: ComplexField, floor_db: float) -> np.ndarray:

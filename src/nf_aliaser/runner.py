@@ -8,7 +8,7 @@ import numpy as np
 
 from . import __version__
 from .chirp import AliasingMask, aliasing_mask
-from .config import RunConfig, SWEEP_PARAMS, _as_int
+from .config import RunConfig, SWEEP_PARAMS, _as_int, _sweep_param
 from .errors import ConfigError
 from .geometry import ArrayGeometry, Scene
 from .imaging import bistatic_image, default_threads, partial_image
@@ -189,8 +189,7 @@ def _sweep_products(config: RunConfig, param, values, out_dir, threads: int):
     values = values if values is not None else config.sweep_values
     if param is None or values is None:
         raise ConfigError("sweep requires a parameter and a list of values")
-    if param not in SWEEP_PARAMS:
-        raise ConfigError(f"sweep.param: must be one of {SWEEP_PARAMS}, got {param!r}")
+    param = _sweep_param(param, "sweep.param")
 
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:

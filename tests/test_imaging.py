@@ -7,16 +7,22 @@ from nf_aliaser import (
     Scene,
     SingularityError,
     WaveParams,
+    aliasing_free,
     aliasing_mask,
     bistatic_image,
     build_uniform_array,
+    chirp_phase,
     chirp_value,
     direct_image,
+    green,
+    local_wavenumber,
     magnitude_db,
+    max_spatial_frequency,
     partial_image,
     partial_image_at,
+    sample_chirp_along_axis,
 )
-from nf_aliaser import imaging
+from nf_aliaser import chirp, imaging
 from nf_aliaser.imaging import CELL_BLOCK, _distance, _run_blocks
 
 WAVE = WaveParams(1.0)
@@ -143,7 +149,7 @@ class TestBistaticImage:
                            EvalGrid([150.0, 150.0], [1850.0, 1850.0], (8, 8)))
         ones = type(st)(grid=st.grid, values=np.ones_like(st.values),
                         excluded=np.zeros_like(st.excluded),
-                        meta=dict(st.meta))
+                        scatterer=st.scatterer)
         image = bistatic_image(st, ones, 1.0)
         np.testing.assert_array_equal(image.values, st.values)
 
@@ -264,6 +270,52 @@ class TestDirectImage:
             assert rel.max() <= 1e-10
 
 
+# Positions of mixed dimensionality. numpy would broadcast a 1-coordinate
+# scatterer against 2D elements, and a 2D and a 3D position fail to broadcast
+# or lose a coordinate, so each entry point must refuse them itself.
+TX2 = build_uniform_array([0.0, 0.0], [[1, 0]], [4], [1.0], "transmit")
+RX2 = build_uniform_array([0.0, 0.0], [[0, 1]], [4], [1.0], "receive")
+TX3 = build_uniform_array([0.0, 0.0, 0.0], [[1, 0, 0]], [4], [1.0], "transmit")
+RX3 = build_uniform_array([0.0, 0.0, 0.0], [[0, 1, 0]], [4], [1.0], "receive")
+GRID2 = EvalGrid([10.0, 10.0], [20.0, 20.0], (4, 4))
+POINT2 = [15.0, 12.0]
+SCENE1, SCENE2, SCENE3 = Scene([15.0]), Scene([15.0, 15.0]), Scene([15.0, 15.0, 0.0])
+PROBES2 = TX2.element_positions()
+MISMATCHES = {
+    "1d_scatterer-partial_image": lambda: partial_image(TX2, SCENE1, WAVE, GRID2),
+    "1d_scatterer-partial_image_at": lambda: partial_image_at(TX2, [POINT2], SCENE1, WAVE),
+    "1d_scatterer-direct_image": lambda: direct_image(TX2, RX2, SCENE1, WAVE, GRID2),
+    "1d_scatterer-aliasing_mask": lambda: aliasing_mask(TX2, RX2, SCENE1, WAVE, GRID2),
+    "1d_scatterer-aliasing_free": lambda: aliasing_free(TX2, POINT2, [15.0], WAVE),
+    "1d_scatterer-max_spatial_frequency":
+        lambda: max_spatial_frequency(TX2, POINT2, [15.0], WAVE, 0),
+    "1d_scatterer-local_wavenumber": lambda: local_wavenumber(PROBES2, POINT2, [15.0], WAVE),
+    "1d_scatterer-chirp_value": lambda: chirp_value(PROBES2, POINT2, [15.0], WAVE),
+    "1d_scatterer-chirp_phase": lambda: chirp_phase(PROBES2, POINT2, [15.0], WAVE),
+    "1d_scatterer-green": lambda: green([15.0], PROBES2, WAVE),
+    "1d_scatterer-sample_chirp_along_axis":
+        lambda: sample_chirp_along_axis(TX2, POINT2, [15.0], WAVE, 0, 2),
+    "3d_arrays-partial_image": lambda: partial_image(TX3, SCENE2, WAVE, GRID2),
+    "3d_arrays-direct_image": lambda: direct_image(TX3, RX3, SCENE2, WAVE, GRID2),
+    "3d_arrays-partial_image_at": lambda: partial_image_at(TX3, [POINT2], SCENE2, WAVE),
+    "3d_array_2d_points-partial_image_at":
+        lambda: partial_image_at(TX3, [POINT2], SCENE3, WAVE),
+    "3d_points-partial_image_at":
+        lambda: partial_image_at(TX2, [[15.0, 12.0, 3.0]], SCENE2, WAVE),
+}
+
+
+@pytest.mark.parametrize("call", list(MISMATCHES.values()), ids=list(MISMATCHES))
+def test_dimension_mismatch_rejected_before_any_cell(monkeypatch, call):
+    def no_cells(*args):
+        raise AssertionError("a cell was evaluated")
+
+    monkeypatch.setattr(imaging, "_distance", no_cells)
+    monkeypatch.setattr(chirp, "_distance", no_cells)
+    with pytest.raises(GridError):
+        call()
+
+
 # 37 x 443 = 2 * CELL_BLOCK + 7 cells: two full blocks and a 7-cell tail.
 BLOCK_GRID = EvalGrid([-60.0, -40.0], [60.0, 80.0], (37, 443))
 BLOCK_TX = build_uniform_array([-10.0, 0.0], [[1, 0]], [12], [1.7], "transmit")
@@ -381,7 +433,7 @@ class TestMagnitudeDb:
         if excluded is None:
             excluded = np.zeros((2, 2), dtype=bool)
         from nf_aliaser import ComplexField
-        return ComplexField(grid=grid, values=values, excluded=excluded, meta={})
+        return ComplexField(grid=grid, values=values, excluded=excluded)
 
     def test_peak_is_zero_db(self):
         db = magnitude_db(self._field([1.0, 0.5, 0.25, 0.1]), -40.0)

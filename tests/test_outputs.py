@@ -41,7 +41,7 @@ def test_pgm_orientation_peak_row(tmp_path):
     values = np.full((3, 3), 0.001, dtype=np.complex128)
     values[1, 2] = 1.0  # x index 1, y index 2 (top row)
     field = ComplexField(grid=grid, values=values,
-                         excluded=np.zeros((3, 3), bool), meta={})
+                         excluded=np.zeros((3, 3), bool))
     path = tmp_path / "f.pgm"
     write_field_pgm(path, "f", field, -40.0)
     lines = path.read_text().splitlines()
@@ -63,7 +63,7 @@ def test_field_csv_row_major_and_excluded_count(tmp_path):
     grid = EvalGrid([0.0, 0.0], [2.0, 2.0], (2, 2))
     values = np.array([[1 + 1j, 2 + 0j], [0j, 3 - 1j]])
     excluded = np.array([[False, False], [True, False]])
-    field = ComplexField(grid=grid, values=values, excluded=excluded, meta={})
+    field = ComplexField(grid=grid, values=values, excluded=excluded)
     path = tmp_path / "f.csv"
     write_field_csv(path, "f", field, 1.0)
     text = path.read_text()
@@ -94,7 +94,7 @@ def test_mask_intersection_of_per_array_conjunctions():
 def test_pgm_rejects_non_2d():
     grid = EvalGrid([0.0], [2.0], (4,))
     field = ComplexField(grid=grid, values=np.ones(4, dtype=np.complex128),
-                         excluded=np.zeros(4, bool), meta={})
+                         excluded=np.zeros(4, bool))
     with pytest.raises(ValueError):
         write_field_pgm("unused.pgm", "f", field, -40.0)
 
