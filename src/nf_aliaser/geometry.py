@@ -23,6 +23,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def same_dimension(a, b, what: str) -> tuple:
+    """a and b as float arrays; GridError when their trailing axes, the
+    coordinate counts of the positions they hold, differ."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape[-1:] != b.shape[-1:]:
+        raise GridError(f"{what}: positions of shapes {a.shape} and {b.shape} differ in dimension")
+    return a, b
+
+
 def whole_numbers(values, error: type, what: str) -> tuple:
     """A number or a list of numbers as a tuple of ints.
 
@@ -160,8 +170,8 @@ def build_uniform_array(origin, axes, counts, spacings, role_tag) -> ArrayGeomet
 
 def min_element_distance(geometry: ArrayGeometry, point) -> float:
     """Smallest Euclidean distance from `point` to any array element."""
-    p = np.asarray(point, dtype=float)
-    return float(np.min(np.linalg.norm(geometry.element_positions() - p[None, :], axis=-1)))
+    elements, p = same_dimension(geometry.element_positions(), point, "min_element_distance")
+    return float(np.min(np.linalg.norm(elements - p, axis=-1)))
 
 
 @dataclass(frozen=True)
@@ -235,7 +245,7 @@ class EvalGrid:
 
     def cell_index(self, point) -> tuple:
         """Multi-index of the cell containing `point` (clipped to the grid)."""
-        p = np.asarray(point, dtype=float)
+        p, _ = same_dimension(point, self.corner_min, "cell_index")
         idx = np.floor((p - self.corner_min) / self.cell_sizes).astype(int)
         idx = np.clip(idx, 0, np.asarray(self.resolution) - 1)
         return tuple(int(i) for i in idx)

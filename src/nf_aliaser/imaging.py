@@ -244,7 +244,8 @@ def magnitude_db(field_: ComplexField, floor_db: float) -> np.ndarray:
     """Peak-normalized magnitude in dB, clamped below at floor_db.
 
     Excluded cells are emitted at floor_db. Raises GridError when the field
-    has no usable signal (all cells excluded or zero).
+    has no usable signal (all cells excluded or zero), or when a non-excluded
+    cell is NaN or infinite.
     """
     if not (np.isfinite(floor_db) and floor_db < 0):
         raise GridError(f"floor_db must be negative and finite, got {floor_db}")
@@ -253,6 +254,9 @@ def magnitude_db(field_: ComplexField, floor_db: float) -> np.ndarray:
         raise GridError("field has no non-excluded cells")
     mag = np.abs(field_.values)
     peak = mag[usable].max()
+    if not np.isfinite(peak):
+        # max propagates NaN, and an infinite cell is the peak.
+        raise GridError("field has a non-finite value on a non-excluded cell")
     if peak == 0.0:
         raise GridError("field is identically zero on non-excluded cells")
     with np.errstate(divide="ignore"):

@@ -94,12 +94,25 @@ def write_sweep_csv(path: Path, rows: list) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _pgm_text(pixels: np.ndarray, comment: str) -> str:
-    # pixels indexed [x, y]; rendered with y increasing upward.
+# One PGM cell per gray level: its ASCII digits, NUL-padded to three bytes,
+# then the separator. Read as uint32, so a raster is encoded by one gather.
+_PGM_CELLS = np.array([list(str(v).encode("ascii").ljust(3, b"\0")) + [ord(" ")]
+                       for v in range(256)], dtype=np.uint8).view(np.uint32).ravel()
+
+
+def _pgm_text(pixels: np.ndarray, comment: str) -> bytes:
+    """P2 file bytes of the integer gray levels pixels, indexed [x, y] and
+    rendered with y increasing upward. Raises ValueError for a level outside
+    0..255, which maxval 255 cannot hold."""
     width, height = pixels.shape
-    top_down = pixels[:, ::-1].T.astype(np.int64).tolist()
-    rows = [" ".join(map(str, row)) for row in top_down]
-    return f"P2\n# {comment}\n{width} {height}\n255\n" + "\n".join(rows) + "\n"
+    if pixels.min() < 0 or pixels.max() > 255:
+        raise ValueError(f"PGM levels must lie in 0..255, got {pixels.min()}..{pixels.max()}")
+    top_down = np.ascontiguousarray(pixels[:, ::-1].T)
+    cells = _PGM_CELLS[top_down].view(np.uint8).reshape(height, width, 4)
+    cells[:, -1, 3] = ord("\n")
+    flat = cells.ravel()
+    head = f"P2\n# {comment}\n{width} {height}\n255\n".encode("ascii")
+    return head + flat[flat != 0].tobytes()
 
 
 def write_field_pgm(path: Path, name: str, field: ComplexField, floor_db: float) -> None:
@@ -109,14 +122,14 @@ def write_field_pgm(path: Path, name: str, field: ComplexField, floor_db: float)
     db = magnitude_db(field, floor_db)
     scale = 255.0 / (-floor_db)
     pixels = np.rint((db - floor_db) * scale).astype(int)
-    path.write_text(_pgm_text(pixels, f"nf-aliaser {name}"), encoding="ascii")
+    path.write_bytes(_pgm_text(pixels, f"nf-aliaser {name}"))
 
 
 def write_mask_pgm(path: Path, name: str, mask: np.ndarray) -> None:
     if mask.ndim != 2:
         raise ValueError("PGM rendering requires a 2D grid")
     pixels = np.where(mask, 255, 0)
-    path.write_text(_pgm_text(pixels, f"nf-aliaser {name}"), encoding="ascii")
+    path.write_bytes(_pgm_text(pixels, f"nf-aliaser {name}"))
 
 
 def sha256_of(path: Path) -> str:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridError, SingularityError
-from .geometry import WaveParams
+from .errors import SingularityError
+from .geometry import WaveParams, same_dimension
 
 # Exclusion radius around point sources, as a fraction of the wavelength.
 # The 1/r factor diverges at r -> 0; evaluation inside is refused.
@@ -24,10 +24,7 @@ def _checked_distance(a, b, eps: float, what: str) -> tuple:
     """(|a - b|, a - b) over the trailing coordinate axis: the package's one
     check of a pair of positions. Raises GridError when a and b have different
     coordinate counts, SingularityError when a distance is within eps."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[-1:] != b.shape[-1:]:
-        raise GridError(f"{what}: positions of shapes {a.shape} and {b.shape} differ in dimension")
+    a, b = same_dimension(a, b, what)
     diff = a - b
     r = np.sqrt(np.sum(diff * diff, axis=-1))
     if np.any(r <= eps):

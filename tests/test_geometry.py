@@ -173,6 +173,13 @@ def test_min_element_distance():
     assert min_element_distance(arr, [2.0, 3.0]) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("point", [[15.0], [15.0, 1.0, 2.0]])
+def test_min_element_distance_dimension_mismatch(point):
+    arr = build_uniform_array([0, 0], [[1, 0]], [4], [1.0], "transmit")
+    with pytest.raises(GridError, match="min_element_distance"):
+        min_element_distance(arr, point)
+
+
 def test_scene_validation():
     s = Scene([1.0, 2.0], 2j)
     assert s.reflectivity == 2j
@@ -208,6 +215,12 @@ class TestEvalGrid:
         assert grid.cell_index([5.0, 5.0]) == (2, 2)
         # exactly on the outer corner clips into the last cell
         assert grid.cell_index([10.0, 10.0]) == (4, 4)
+
+    @pytest.mark.parametrize("point", [[15.0], [15.0, 15.0, 15.0], 15.0])
+    def test_cell_index_dimension_mismatch(self, point):
+        grid = EvalGrid([10.0, 10.0], [20.0, 20.0], (4, 4))
+        with pytest.raises(GridError, match="cell_index"):
+            grid.cell_index(point)
 
     def test_validation(self):
         with pytest.raises(GridError):

@@ -454,6 +454,17 @@ class TestMagnitudeDb:
         with pytest.raises(GridError):
             magnitude_db(self._field([0.0, 0.0, 0.0, 0.0]), -40.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf),
+                                     complex(np.nan, 1.0)])
+    def test_non_finite_usable_cell_rejected(self, bad):
+        with pytest.raises(GridError, match="non-finite"):
+            magnitude_db(self._field([1.0, 0.5, bad, 0.1]), -40.0)
+
+    def test_non_finite_excluded_cell_ignored(self):
+        excluded = np.array([[False, False], [True, False]])
+        db = magnitude_db(self._field([1.0, 0.5, np.nan, 0.1], excluded), -40.0)
+        assert db[1, 0] == -40.0 and np.all(np.isfinite(db))
+
     @pytest.mark.parametrize("floor_db", [0.0, np.nan, -np.inf])
     def test_floor_must_be_negative_and_finite(self, floor_db):
         with pytest.raises(GridError, match="floor_db must be negative and finite"):

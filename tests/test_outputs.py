@@ -12,9 +12,11 @@ from nf_aliaser import (
     build_uniform_array,
     magnitude_db,
 )
+from nf_aliaser import GridError, outputs
 from nf_aliaser.floatfmt import python_formatted
 from nf_aliaser.outputs import (
     PAIR_ROWS,
+    _pgm_text,
     _grid_comments,
     _write_pairs_csv,
     fmt,
@@ -172,6 +174,51 @@ class TestWriterBytes:
         pixels = np.rint((db + 40.0) * (255.0 / 40.0)).astype(int)
         expected = _reference_pgm(pixels, "nf-aliaser f")
         assert (tmp_path / "f.pgm").read_bytes() == expected.encode("ascii")
+
+
+# The PGM encoder against _reference_pgm: every gray level, rows of one cell,
+# rows wider than the level count, and constant masks.
+@pytest.mark.parametrize("width", [1, 2, 255, 383])
+def test_pgm_every_level(width):
+    height = -(-256 // width)
+    pixels = np.resize(np.arange(256), width * height).reshape(width, height)
+    assert set(pixels.ravel()) == set(range(256))
+    assert _pgm_text(pixels, "levels") == _reference_pgm(pixels, "levels").encode("ascii")
+
+
+@pytest.mark.parametrize("value", [False, True])
+def test_mask_pgm_constant(tmp_path, value):
+    mask = np.full((7, 4), value)
+    write_mask_pgm(tmp_path / "m.pgm", "m", mask)
+    expected = _reference_pgm(np.where(mask, 255, 0), "nf-aliaser m")
+    assert (tmp_path / "m.pgm").read_bytes() == expected.encode("ascii")
+
+
+@pytest.mark.parametrize("level", [-1, 256])
+def test_pgm_level_out_of_range(tmp_path, monkeypatch, level):
+    pixels = np.zeros((3, 2), dtype=int)
+    pixels[1, 1] = level
+    with pytest.raises(ValueError, match="0..255"):
+        _pgm_text(pixels, "bad")
+    # A magnitude_db outside [floor_db, 0] rounds to that level.
+    grid = EvalGrid([0.0, 0.0], [3.0, 2.0], (3, 2))
+    field = ComplexField(grid=grid, values=np.ones((3, 2), complex),
+                         excluded=np.zeros((3, 2), bool))
+    monkeypatch.setattr(outputs, "magnitude_db",
+                        lambda f, floor_db: floor_db + pixels * (-floor_db / 255.0))
+    with pytest.raises(ValueError, match="0..255"):
+        write_field_pgm(tmp_path / "f.pgm", "f", field, -40.0)
+    assert not (tmp_path / "f.pgm").exists()
+
+
+def test_field_pgm_refuses_non_finite(tmp_path):
+    grid = EvalGrid([0.0, 0.0], [4.0, 4.0], (4, 4))
+    values = np.ones((4, 4), complex)
+    values[2, 1] = np.nan
+    field = ComplexField(grid=grid, values=values, excluded=np.zeros((4, 4), bool))
+    with pytest.raises(GridError, match="non-finite"):
+        write_field_pgm(tmp_path / "f.pgm", "f", field, -40.0)
+    assert not (tmp_path / "f.pgm").exists()
 
 
 def test_spectrum_csv_bytes(tmp_path):
