@@ -6,18 +6,19 @@ import pytest
 from nf_aliaser import (
     ComplexField,
     EvalGrid,
+    GridError,
     Scene,
     WaveParams,
     aliasing_mask,
     build_uniform_array,
     magnitude_db,
 )
-from nf_aliaser import GridError, outputs
+from nf_aliaser import outputs
 from nf_aliaser.floatfmt import python_formatted
 from nf_aliaser.outputs import (
     PAIR_ROWS,
-    _pgm_text,
     _grid_comments,
+    _pgm_text,
     _write_pairs_csv,
     fmt,
     write_field_csv,
