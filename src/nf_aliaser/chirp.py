@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import GridError
 from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams
-from .imaging import _block_columns, _distance, _run_blocks, _scatterer_distances
+from .imaging import (_block_columns, _distance, _nearest_distance, _run_blocks,
+                      _scatterer_distances)
 from .wavefield import _checked_distance, exclusion_radius
 
 AliasingVerdict = namedtuple("AliasingVerdict", ["per_axis", "ok"])
@@ -112,8 +113,8 @@ def _fold_axis(best: np.ndarray, e_u, c_u: np.ndarray, dt: np.ndarray, pu_e,
 
 
 def _kmax_layers(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
-    """Sampled lattice axes and a kernel(cells) -> (dmin, max |k_axis| / k per
-    sampled axis).
+    """Sampled lattice axes and a kernel(cells) -> max |k_axis| / k per sampled
+    axis.
 
     Exhaustive reference kernel for _kmax_lines: loops over elements
     (vectorized over cells) so each element's distance field is shared by all
@@ -123,17 +124,14 @@ def _kmax_layers(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
 
     def kernel(cells: np.ndarray) -> tuple:
         cols, dt, tmp = _block_columns(cells)
-        n = len(cells)
         c_u = [cells @ u for u in units]
-        near = np.full(n, np.inf)
-        best = [np.zeros(n) for _ in units]
+        best = [np.zeros(len(cells)) for _ in units]
         with np.errstate(divide="ignore", invalid="ignore"):
             for ie, e in enumerate(elements):
                 _distance(e, cols, dt, tmp)
-                np.minimum(near, dt, out=near)
                 for ja, u in enumerate(units):
                     _fold_axis(best[ja], float(e @ u), c_u[ja], dt, pu[ja][ie], tmp)
-        return (near, *best)
+        return tuple(best)
 
     return axes_idx, kernel
 
@@ -185,8 +183,7 @@ def _kmax_lines(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
     between its at most two roots and the line ends. The discrete max of |f|
     therefore sits at element 0, element N_j-1, or beside a root. A cell on
     the line (h_t = 0) turns the quadratic into a double root at u_t, where f
-    jumps, so it needs no extra candidate. The nearest element on the line
-    gives dmin; an array without a sampled axis is its single element.
+    jumps, so it needs no extra candidate.
     """
     elements, axes_idx, units, pu = _element_terms(array, scatterer, eps)
     # Element by element, as _kmax_layers computes it, so the bits match.
@@ -218,7 +215,6 @@ def _kmax_lines(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
             # Element g (an index, or one index per cell), gathered per axis.
             return _distance([x_i[g] for x_i in x], cols, dt, tmp)
 
-        near = distance(0).copy() if not axis_lines else np.full(n, np.inf)
         bests = []
         with np.errstate(divide="ignore", invalid="ignore"):
             for ja, u, perp, stride, count, d, lines in axis_lines:
@@ -243,11 +239,8 @@ def _kmax_lines(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
                         for m in (m0, m0 + 1):
                             g = first + stride * np.clip(m, 0, count - 1)
                             _fold_axis(best, eu[ja][g], c_u, distance(g), pu[ja][g], tmp)
-                    if ja == 0:
-                        m = np.clip(np.rint(u_t / d), 0, count - 1).astype(np.intp)
-                        np.minimum(near, distance(first + stride * m), out=near)
                 bests.append(best)
-        return (near, *bests)
+        return tuple(bests)
 
     return axes_idx, kernel
 
@@ -265,19 +258,15 @@ def aliasing_mask(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: Wave
         raise GridError("grid and arrays must share one dimensionality")
     k = wave.wavenumber
     shape = grid.resolution
-
+    nearest = _nearest_distance((tx, rx))
+    tx_axes, tx_kmax = _kmax_lines(tx, scene.scatterer, eps)
+    rx_axes, rx_kmax = _kmax_lines(rx, scene.scatterer, eps)
+    dmin, *kmaxes = _run_blocks(lambda cells: (nearest(cells), *tx_kmax(cells),
+                                               *rx_kmax(cells)), grid, threads)
+    excluded = dmin <= eps
     layers = []
-    dmin_total = np.full(grid.num_cells, np.inf)
-    for label, array in (("tx", tx), ("rx", rx)):
-        axes_idx, kernel = _kmax_lines(array, scene.scatterer, eps)
-        dmin, *kmaxes = _run_blocks(kernel, grid, threads)
-        np.minimum(dmin_total, dmin, out=dmin_total)
-        for j, km in zip(axes_idx, kmaxes):
-            free = k * km <= 2.0 * np.pi / array.spacings[j]
-            layers.append(MaskLayer(array_label=label, axis_index=j,
-                                    free=free.reshape(shape)))
-
-    excluded = (dmin_total <= eps).reshape(shape)
-    for layer in layers:
-        layer.free &= ~excluded
-    return AliasingMask(grid=grid, layers=tuple(layers), excluded=excluded)
+    sampled = [("tx", tx, j) for j in tx_axes] + [("rx", rx, j) for j in rx_axes]
+    for (label, array, j), km in zip(sampled, kmaxes):
+        free = (k * km <= 2.0 * np.pi / array.spacings[j]) & ~excluded
+        layers.append(MaskLayer(array_label=label, axis_index=j, free=free.reshape(shape)))
+    return AliasingMask(grid=grid, layers=tuple(layers), excluded=excluded.reshape(shape))

@@ -81,8 +81,6 @@ def main(argv=None) -> int:
                 values = json.loads(args.values)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"--values is not valid JSON: {exc.msg}") from exc
-            if not isinstance(values, list):
-                values = [values]
             rows = sweep(config, args.param, values, out_dir=args.out,
                          threads=args.threads)
             for row in rows:

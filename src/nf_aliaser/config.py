@@ -71,11 +71,11 @@ def _as_ints(value, where: str) -> tuple:
     return whole_numbers(value, ConfigError, where)
 
 
-def _wavelength(value, where: str) -> float:
-    wavelength = _number(value, where)
-    if wavelength <= 0 or not np.isfinite(wavelength):
-        raise ConfigError(f"{where}: must be positive, got {wavelength}")
-    return wavelength
+def _positive(value, where: str) -> float:
+    number = _number(value, where)
+    if number <= 0 or not np.isfinite(number):
+        raise ConfigError(f"{where}: must be positive and finite, got {number}")
+    return number
 
 
 def _list(value, where: str) -> tuple:
@@ -137,7 +137,7 @@ SCHEMA = (
     ("", "outputs", _outputs, REQUIRED),
     ("", "thresholds", _section, {}),
     ("", "sweep", _section, None),
-    ("wave", "lambda", _wavelength, 1.0),
+    ("wave", "lambda", _positive, 1.0),
     *((role, key, parser, REQUIRED) for role in ("tx", "rx") for key, parser in _ARRAY_KEYS),
     ("scene", "scatterer", _numbers, REQUIRED),
     ("scene", "reflectivity_re", _number, 1.0),

@@ -244,8 +244,10 @@ class EvalGrid:
         return np.stack([self.axis_centers(j)[i] for j, i in enumerate(index)], axis=-1)
 
     def cell_index(self, point) -> tuple:
-        """Multi-index of the cell containing `point` (clipped to the grid)."""
+        """Multi-index of the cell containing a finite `point` (clipped to the grid)."""
         p, _ = same_dimension(point, self.corner_min, "cell_index")
+        if not np.all(np.isfinite(p)):
+            raise GridError(f"cell_index: point must be finite, got {p}")
         idx = np.floor((p - self.corner_min) / self.cell_sizes).astype(int)
         idx = np.clip(idx, 0, np.asarray(self.resolution) - 1)
         return tuple(int(i) for i in idx)

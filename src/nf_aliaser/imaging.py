@@ -119,27 +119,47 @@ def _scatterer_distances(array: ArrayGeometry, scatterer: np.ndarray, eps: float
     return elements, d_s, ds_vec
 
 
+def _nearest_distance(arrays):
+    """kernel(cells) -> distance from each cell to the nearest element of the
+    arrays, the one kernel that decides exclusion. Lattice axes are
+    orthonormal, so that element's index on axis j is
+    clip(rint(((c - origin) . a_j) / d_j), 0, N_j - 1); _distance evaluates it."""
+    lattices = [(a, np.ascontiguousarray(a.element_positions().T)) for a in arrays]
+
+    def kernel(cells: np.ndarray) -> np.ndarray:
+        cols, dist, tmp = _block_columns(cells)
+        near = np.full(len(cells), np.inf)
+        for a, x in lattices:
+            m = np.rint((cells - a.origin) @ a.axes.T / a.spacings)
+            m = np.clip(m, 0, np.subtract(a.counts, 1)).astype(np.intp)
+            g = np.ravel_multi_index(tuple(m.T), a.counts)
+            np.minimum(near, _distance([x_i[g] for x_i in x], cols, dist, tmp), out=near)
+        return near
+
+    return kernel
+
+
 def _chirp_sum(elements: np.ndarray, d_s: np.ndarray, k: float, points: np.ndarray):
-    """Partial-image chirp sum at each point and the nearest-element distance.
+    """Partial-image chirp sum at each point.
 
     Accumulates sequentially in lattice-element order, so a point gets the
     same bits whichever block of points it is evaluated in.
     """
     cols, dt, tmp = _block_columns(points)
-    n = len(points)
-    acc = np.zeros(n, dtype=np.complex128)
-    near = np.full(n, np.inf)
+    acc = np.zeros(len(points), dtype=np.complex128)
     with np.errstate(divide="ignore", invalid="ignore"):
         for e, ds in zip(elements, d_s):
             _distance(e, cols, dt, tmp)
-            np.minimum(near, dt, out=near)
             acc += np.exp(1j * k * (dt - ds)) / (dt * ds)
-    return acc, near
+    return acc
 
 
-def _field(grid: EvalGrid, values: np.ndarray, dmin: np.ndarray, eps: float,
-           scatterer: np.ndarray) -> ComplexField:
-    """Zero and flag the cells within eps of an element, shaped as the grid."""
+def _field(kernel, arrays, grid: EvalGrid, eps: float, scatterer: np.ndarray,
+           threads: int) -> ComplexField:
+    """kernel(cells) -> values over the grid, in one pass with the nearest-element
+    distance; cells within eps of an element are zeroed and flagged."""
+    nearest = _nearest_distance(arrays)
+    values, dmin = _run_blocks(lambda cells: (kernel(cells), nearest(cells)), grid, threads)
     excluded = dmin <= eps
     if excluded.all():
         raise GridError("every grid cell lies within the exclusion radius of an element")
@@ -154,19 +174,20 @@ def partial_image_at(array: ArrayGeometry, points, scene: Scene, wave: WaveParam
     """Monostatic partial image evaluated at arbitrary tentative points.
 
     Each value is the sum over array elements of the spatial chirp
-    conj(z(tentative, element)) * z(scatterer, element). Raises
-    SingularityError if any point or the scatterer is within the exclusion
-    radius of an element.
+    conj(z(tentative, element)) * z(scatterer, element). Raises GridError for
+    a non-finite point and SingularityError if any point or the scatterer is
+    within the exclusion radius of an element, before any chirp is summed.
     """
     eps = exclusion_radius(wave, epsilon)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     elements, d_s, _ = _scatterer_distances(array, scene.scatterer, eps, pts.shape[-1])
-    acc, near = _chirp_sum(elements, d_s, wave.wavenumber, pts)
-    if np.any(near <= eps):
+    if not np.all(np.isfinite(pts)):
+        raise GridError("tentative points must be finite")
+    if np.any(_nearest_distance((array,))(pts) <= eps):
         raise SingularityError(
             "tentative point within the exclusion radius of an array element"
         )
-    return acc
+    return _chirp_sum(elements, d_s, wave.wavenumber, pts)
 
 
 def partial_image(array: ArrayGeometry, scene: Scene, wave: WaveParams, grid: EvalGrid,
@@ -178,9 +199,8 @@ def partial_image(array: ArrayGeometry, scene: Scene, wave: WaveParams, grid: Ev
     """
     eps = exclusion_radius(wave, epsilon)
     elements, d_s, _ = _scatterer_distances(array, scene.scatterer, eps, grid.ndim)
-    values, dmin = _run_blocks(lambda cells: _chirp_sum(elements, d_s, wave.wavenumber, cells),
-                               grid, threads)
-    return _field(grid, values, dmin, eps, scene.scatterer)
+    return _field(lambda cells: _chirp_sum(elements, d_s, wave.wavenumber, cells), (array,),
+                  grid, eps, scene.scatterer, threads)
 
 
 def bistatic_image(tx_field: ComplexField, rx_field: ComplexField,
@@ -217,27 +237,23 @@ def direct_image(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: WaveP
     z_t = np.exp(-1j * k * dst) / dst
     z_r = np.exp(-1j * k * dsr) / dsr
 
-    def kernel(cells: np.ndarray) -> tuple:
+    def kernel(cells: np.ndarray) -> np.ndarray:
         cols, dist, tmp = _block_columns(cells)
         n = len(cells)
         czt = np.empty((len(et), n), dtype=np.complex128)
-        near = np.full(n, np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             for it, e in enumerate(et):
                 dt = _distance(e, cols, dist, tmp)
-                np.minimum(near, dt, out=near)
                 czt[it] = np.exp(1j * k * dt) / dt
             acc = np.zeros(n, dtype=np.complex128)
             for it in range(len(et)):
                 for ir, e in enumerate(er):
                     dr = _distance(e, cols, dist, tmp)
-                    np.minimum(near, dr, out=near)
                     u = zeta * z_r[ir] * z_t[it]
                     acc += u * (np.exp(1j * k * dr) / dr) * czt[it]
-        return acc, near
+        return acc
 
-    values, dmin = _run_blocks(kernel, grid, threads)
-    return _field(grid, values, dmin, eps, scene.scatterer)
+    return _field(kernel, (tx, rx), grid, eps, scene.scatterer, threads)
 
 
 def magnitude_db(field_: ComplexField, floor_db: float) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import __version__
 from .chirp import AliasingMask, aliasing_mask
-from .config import RunConfig, SWEEP_PARAMS, _as_int, _sweep_param
+from .config import RunConfig, SWEEP_PARAMS, _as_int, _list, _numbers, _positive, _sweep_param
 from .errors import ConfigError
 from .geometry import ArrayGeometry, Scene
 from .imaging import bistatic_image, default_threads, partial_image
@@ -74,15 +74,16 @@ def _sweep_variant(config: RunConfig, param: str, value):
     if param == "length":
         if isinstance(value, dict):
             try:
-                length = float(value["length_lambda"]) * wl
-                count = value["count"]
-            except (KeyError, TypeError, ValueError) as exc:
+                length_lambda, count = value["length_lambda"], value["count"]
+            except KeyError as exc:
                 raise ConfigError(
                     f"sweep length value needs length_lambda and count, got {value!r}") from exc
             n = _as_int(count, "sweep length count")
+            if n < 2:
+                raise ConfigError(f"sweep length count must be >= 2 antennas, got {count!r}")
         else:
-            length = float(value) * wl
-            n = None
+            length_lambda, n = value, None
+        length = _positive(length_lambda, "sweep length value") * wl
 
         def rebuild(a: ArrayGeometry) -> ArrayGeometry:
             counts, spacings = list(a.counts), list(a.spacings)
@@ -95,9 +96,9 @@ def _sweep_variant(config: RunConfig, param: str, value):
         return rebuild(tx), rebuild(rx), scene, label
 
     if param == "range":
-        pos = np.asarray(value, dtype=float)
-        if pos.ndim != 1 or pos.shape[0] != scene.scatterer.shape[0]:
-            raise ConfigError(f"sweep range value must be a scatterer position, got {value!r}")
+        pos = np.asarray(_numbers(value, "sweep range value"))
+        if pos.shape != scene.scatterer.shape or not np.all(np.isfinite(pos)):
+            raise ConfigError(f"sweep range value must be a finite position, got {value!r}")
         new_scene = Scene(scatterer=pos * wl, reflectivity=scene.reflectivity)
         label = "pos" + "_".join(f"{v:g}" for v in pos)
         return tx, rx, new_scene, label
@@ -187,9 +188,8 @@ def _emit(files: dict, out: Path, name: str, product, config: RunConfig) -> None
 def _sweep_products(config: RunConfig, param, values, out_dir, threads: int):
     param = param or config.sweep_param
     values = values if values is not None else config.sweep_values
-    if param is None or values is None:
-        raise ConfigError("sweep requires a parameter and a list of values")
     param = _sweep_param(param, "sweep.param")
+    values = _list(values, "sweep values")
 
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:

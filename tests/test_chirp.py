@@ -15,7 +15,7 @@ from nf_aliaser import (
     max_spatial_frequency,
 )
 from nf_aliaser import chirp
-from nf_aliaser.geometry import EvalGrid
+from nf_aliaser.geometry import EvalGrid, min_element_distance
 
 WAVE = WaveParams(1.0)
 K = WAVE.wavenumber
@@ -215,15 +215,15 @@ def _rotation(rng, dim):
 
 
 def _assert_kernels_agree(array, scatterer, cells):
-    """Line kernel vs the exhaustive reference on explicit cells."""
+    """Line kernel vs the exhaustive reference on explicit cells, outside the
+    exclusion radius as the exhaustive min_element_distance finds it."""
     eps = 0.1
     axes_lines, lines = chirp._kmax_lines(array, np.asarray(scatterer, float), eps)
     axes_ref, exhaustive = chirp._kmax_layers(array, np.asarray(scatterer, float), eps)
-    dmin_lines, *kmax_lines = lines(cells)
-    dmin_ref, *kmax_ref = exhaustive(cells)
-    excluded = dmin_ref <= eps
-    np.testing.assert_array_equal(dmin_lines <= eps, excluded)
-    assert axes_lines == axes_ref
+    kmax_lines, kmax_ref = lines(cells), exhaustive(cells)
+    assert axes_lines == axes_ref == array.sampled_axes()
+    assert len(kmax_lines) == len(kmax_ref) == len(array.sampled_axes())
+    excluded = np.array([min_element_distance(array, c) <= eps for c in cells])
     for j, k_lines, k_ref in zip(axes_ref, kmax_lines, kmax_ref):
         k_lines, k_ref = K * k_lines[~excluded], K * k_ref[~excluded]
         assert np.max(np.abs(k_lines - k_ref), initial=0.0) <= 1e-11 * K
@@ -279,12 +279,11 @@ class TestLineKernel:
             assert _assert_kernels_agree(arr, scatterer, cells) > 0
 
     def test_single_element_array(self):
-        # No sampled axis: no layer, and dmin is the distance to the element.
+        # No sampled axis: no kmax column.
         arr = build_uniform_array([3.0, -2.0], [[1, 0]], [1], [1.0], "transmit")
         rng = np.random.default_rng(47)
         cells = np.vstack([rng.uniform(-10, 10, (300, 2)), [[3.0, -2.0], [3.05, -2.0]]])
         _assert_kernels_agree(arr, [20.0, 5.0], cells)
-        assert chirp._kmax_lines(arr, np.array([20.0, 5.0]), 0.1)[1](cells)[0][-2] == 0.0
 
     @pytest.mark.parametrize("case", ["fig1", "long_array", "short_arrays"])
     def test_mask_bit_identical_to_exhaustive(self, case, monkeypatch):

@@ -277,6 +277,13 @@ class TestSweep:
         assert [r["value"] for r in rows] == ["1d", "2d"]
         assert rows[1]["mask_cells"] <= rows[0]["mask_cells"]
 
+    def test_sweep_needs_param_and_values(self):
+        config = resolve_config(small_config(outputs=["mask"]))
+        with pytest.raises(ConfigError, match="sweep.param"):
+            sweep(config)
+        with pytest.raises(ConfigError, match="sweep values"):
+            sweep(config, "spacing")
+
     def test_invalid_values(self):
         config = resolve_config(small_config(outputs=["mask"]))
         with pytest.raises(ConfigError):
@@ -456,3 +463,32 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(small_config(outputs=["mask"])))
         assert main(["sweep", str(path), "--param", "spacing", "--values", "[4,"]) == 2
+
+    @pytest.mark.parametrize("param, values, named", [
+        ("range", '[["a", 1]]', "['a', 1]"),
+        ("range", "[[NaN, 1]]", "[nan, 1]"),
+        ("length", '["abc"]', "'abc'"),
+        ("length", "[NaN]", "got nan"),
+        ("length", "[1e400]", "got inf"),
+        ("length", "[0]", "got 0"),
+        ("length", "[-5]", "got -5"),
+        ("length", '[{"length_lambda": NaN, "count": 4}]', "got nan"),
+        ("length", '[{"length_lambda": 4, "count": 0}]', "got 0"),
+        ("spacing", "[]", "sweep values: must be a non-empty list"),
+        ("spacing", "4", "sweep values: must be a non-empty list"),
+    ])
+    def test_sweep_malformed_value_exit_code(self, tmp_path, capsys, param, values, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_config(outputs=["mask"])))
+        assert main(["sweep", str(path), "--param", param, "--values", values,
+                     "--out", str(tmp_path / "sw")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
+
+    @pytest.mark.parametrize("param, values", [("range", '[["a", 1]]'), ("length", "[NaN]")])
+    def test_run_sweep_malformed_value_exit_code(self, tmp_path, capsys, param, values):
+        path = tmp_path / "cfg.json"
+        cfg = json.dumps(small_config(outputs=["sweep"], sweep={"param": param, "values": []}))
+        path.write_text(cfg.replace('"values": []', f'"values": {values}'))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "configuration error: sweep" in capsys.readouterr().err

@@ -222,6 +222,12 @@ class TestEvalGrid:
         with pytest.raises(GridError, match="cell_index"):
             grid.cell_index(point)
 
+    @pytest.mark.parametrize("point", [[np.nan, 15.0], [np.inf, 15.0], [15.0, -np.inf]])
+    def test_cell_index_non_finite_rejected(self, point):
+        grid = EvalGrid([10.0, 10.0], [20.0, 20.0], (4, 4))
+        with pytest.raises(GridError, match="finite"):
+            grid.cell_index(point)
+
     def test_validation(self):
         with pytest.raises(GridError):
             EvalGrid([0.0, 0.0], [1.0, -1.0], (4, 4))

@@ -23,7 +23,8 @@ from nf_aliaser import (
     sample_chirp_along_axis,
 )
 from nf_aliaser import chirp, imaging
-from nf_aliaser.imaging import CELL_BLOCK, _distance, _run_blocks
+from nf_aliaser.geometry import min_element_distance
+from nf_aliaser.imaging import CELL_BLOCK, _distance, _nearest_distance, _run_blocks
 
 WAVE = WaveParams(1.0)
 
@@ -118,6 +119,28 @@ class TestPartialImage:
         with pytest.raises(SingularityError):
             partial_image(arr, Scene([2.0, 0.05]), WAVE,
                           EvalGrid([10.0, 10.0], [20.0, 20.0], (2, 2)))
+
+    def test_point_evaluator_refuses_a_point_near_an_element_before_summing(self,
+                                                                            monkeypatch):
+        arr = build_uniform_array([0.0, 0.0], [[1, 0]], [4], [1.0], "transmit")
+
+        def no_sum(*args):
+            raise AssertionError("the chirp sum ran")
+
+        monkeypatch.setattr(imaging, "_chirp_sum", no_sum)
+        with pytest.raises(SingularityError):
+            partial_image_at(arr, [[10.0, 10.0], [2.05, 0.0]], Scene([50.0, 50.0]), WAVE)
+
+    @pytest.mark.parametrize("point", [[np.nan, 5.0], [np.inf, 5.0], [3.0, -np.inf]])
+    def test_point_evaluator_refuses_non_finite_points(self, monkeypatch, point):
+        arr = build_uniform_array([0.0, 0.0], [[1, 0]], [4], [1.0], "transmit")
+
+        def no_cells(*args):
+            raise AssertionError("a cell was evaluated")
+
+        monkeypatch.setattr(imaging, "_distance", no_cells)
+        with pytest.raises(GridError, match="finite"):
+            partial_image_at(arr, [[10.0, 10.0], point], Scene([50.0, 50.0]), WAVE)
 
     def test_fully_excluded_grid_rejected(self):
         arr = build_uniform_array([0.05, 0.05], [[1, 0]], [1], [1.0], "transmit")
@@ -381,7 +404,71 @@ class TestBlocks:
         monkeypatch.setattr(EvalGrid, "cell_centers", recording)
         BLOCK_KERNELS[name](2)
         assert sizes and max(sizes) <= CELL_BLOCK
-        assert sum(sizes) % BLOCK_GRID.num_cells == 0
+        # One pass over the grid: the mask's two arrays share every block.
+        assert sum(sizes) == BLOCK_GRID.num_cells
+
+
+def _random_nearest_case(rng):
+    """A random 1-3D lattice with oblique axes (single-element axes too) and
+    cells around it: random, on every element, at neighbour midpoints and
+    about eps from an element; returns (array, cells, eps, number of elements).
+    The cells on elements follow the first 100."""
+    dim = int(rng.integers(1, 4))
+    n_axes = int(rng.integers(1, dim + 1))
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    counts = [int(rng.integers(1, 7)) for _ in range(n_axes)]
+    spacings = rng.uniform(0.2, 3.0, n_axes)
+    arr = build_uniform_array(rng.uniform(-20, 20, dim), q.T[:n_axes], counts, spacings,
+                              "transmit")
+    elements = arr.element_positions()
+    eps = 0.4 * float(spacings.min())
+    size = float(np.max((np.asarray(counts) - 1) * spacings)) + 5.0
+    steps = spacings[:, None] * arr.axes
+    pick = elements[rng.integers(0, len(elements), 60)]
+    direction = rng.normal(size=(60, dim))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    cells = np.vstack([
+        arr.center + rng.uniform(-1, 1, (100, dim)) * size,
+        elements,
+        pick + 0.5 * steps[rng.integers(0, n_axes, 60)],
+        pick + direction * eps * rng.uniform(0.9, 1.1, (60, 1)),
+    ])
+    return arr, cells, eps, len(elements)
+
+
+class TestNearestDistance:
+    def test_matches_exhaustive_minimum(self):
+        rng = np.random.default_rng(53)
+        near_eps = 0
+        for _ in range(200):
+            arr, cells, eps, n_on = _random_nearest_case(rng)
+            near = _nearest_distance((arr,))(cells)
+            exhaustive = np.array([min_element_distance(arr, c) for c in cells])
+            np.testing.assert_allclose(near, exhaustive, rtol=1e-12, atol=0.0)
+            assert np.all(near[100:100 + n_on] == 0.0)
+            tie = np.abs(exhaustive - eps) <= 1e-12 * eps
+            np.testing.assert_array_equal((near <= eps)[~tie], (exhaustive <= eps)[~tie])
+            near_eps += int(np.sum(exhaustive <= eps)) - n_on
+        assert near_eps > 0
+
+    def test_minimum_over_arrays(self):
+        rng = np.random.default_rng(59)
+        pairs = 0
+        while pairs < 30:
+            (a, cells_a, _, _), (b, cells_b, _, _) = (_random_nearest_case(rng)
+                                                      for _ in range(2))
+            if a.ndim != b.ndim:
+                continue
+            pairs += 1
+            cells = np.vstack([cells_a, cells_b])
+            np.testing.assert_array_equal(
+                _nearest_distance((a, b))(cells),
+                np.minimum(_nearest_distance((a,))(cells), _nearest_distance((b,))(cells)))
+
+    def test_single_element_array(self):
+        arr = build_uniform_array([3.0, -2.0], [[1, 0]], [1], [1.0], "transmit")
+        cells = np.array([[3.0, -2.0], [3.0, -1.5], [6.0, 2.0]])
+        np.testing.assert_array_equal(_nearest_distance((arr,))(cells), [0.0, 0.5, 5.0])
 
 
 def _random_cells(rng, dim):
