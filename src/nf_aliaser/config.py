@@ -8,7 +8,7 @@ resolved dictionary so the output manifest echoes the complete configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,19 +63,30 @@ _vectors = _converter(lambda v: [[float(x) for x in row] for row in v],
                       "a list of direction vectors")
 
 
-def _as_int(value, where: str) -> int:
-    return whole_numbers([value], ConfigError, where)[0]
-
-
 def _as_ints(value, where: str) -> tuple:
     return whole_numbers(value, ConfigError, where)
 
 
-def _positive(value, where: str) -> float:
-    number = _number(value, where)
-    if number <= 0 or not np.isfinite(number):
-        raise ConfigError(f"{where}: must be positive and finite, got {number}")
-    return number
+def _checked(parse, rule: str, holds):
+    """Parser applying `parse`, then refusing a result for which holds() is false."""
+    def check(value, where: str):
+        parsed = parse(value, where)
+        if not holds(parsed):
+            raise ConfigError(f"{where}: must be {rule}, got {value!r}")
+        return parsed
+    return check
+
+
+def _at_least(low: int):
+    return _checked(lambda value, where: whole_numbers([value], ConfigError, where)[0],
+                    f"an integer >= {low}", lambda n: n >= low)
+
+
+_finite = _checked(_number, "finite", np.isfinite)
+_positive = _checked(_finite, "positive", lambda x: x > 0)
+_negative = _checked(_finite, "negative", lambda x: x < 0)
+_sweep_param = _checked(lambda v, where: str(v), f"one of {SWEEP_PARAMS}",
+                        lambda v: v in SWEEP_PARAMS)
 
 
 def _list(value, where: str) -> tuple:
@@ -90,13 +101,6 @@ def _outputs(value, where: str) -> tuple:
         if o not in OUTPUT_KINDS:
             raise ConfigError(f"{where}: unknown product {o!r}; expected one of {OUTPUT_KINDS}")
     return outputs
-
-
-def _sweep_param(value, where: str) -> str:
-    param = str(value)
-    if param not in SWEEP_PARAMS:
-        raise ConfigError(f"{where}: must be one of {SWEEP_PARAMS}, got {param!r}")
-    return param
 
 
 def _section(raw, section: str) -> dict:
@@ -145,11 +149,42 @@ SCHEMA = (
     ("grid", "min", _numbers, REQUIRED),
     ("grid", "max", _numbers, REQUIRED),
     ("grid", "resolution", _as_ints, REQUIRED),
-    *(("thresholds", f.name, _as_int if isinstance(f.default, int) else _number, f.default)
-      for f in fields(Thresholds)),
+    ("thresholds", "epsilon_lambda", _positive, Thresholds.epsilon_lambda),
+    ("thresholds", "floor_db", _negative, Thresholds.floor_db),
+    ("thresholds", "support_db", _negative, Thresholds.support_db),
+    ("thresholds", "oracle_ratio", _positive, Thresholds.oracle_ratio),
+    ("thresholds", "oversample", _at_least(1), Thresholds.oversample),
     ("sweep", "param", _sweep_param, REQUIRED),
     ("sweep", "values", _list, REQUIRED),
+    # A length sweep value given as a {"length_lambda", "count"} pair.
+    ("sweep.values", "length_lambda", _positive, REQUIRED),
+    ("sweep.values", "count", _at_least(2), REQUIRED),
 )
+
+
+def _length(value, where: str) -> tuple:
+    """(length_lambda, count) of a length sweep value; count is None unless a pair gives it."""
+    if isinstance(value, dict):
+        pair = _section(value, "sweep.values")
+        return pair["length_lambda"], pair["count"]
+    return _positive(value, where), None
+
+
+def sweep_values(param, values, ndim: int) -> tuple:
+    """Each of `values` parsed as a value of sweep `param` in an ndim-D scene.
+
+    The only code that parses a sweep value. A spacing value is an antenna
+    count, a length value is (length_lambda, count or None), a range value is
+    a scatterer position and a dimensionality value is a number of lattice axes.
+    """
+    parse = {
+        "spacing": _at_least(2),
+        "length": _length,
+        "range": _checked(_numbers, f"a finite position of {ndim} numbers",
+                          lambda p: len(p) == ndim and np.all(np.isfinite(p))),
+        "dimensionality": _checked(_at_least(1), f"at most {ndim}", lambda n: n <= ndim),
+    }[_sweep_param(param, "sweep.param")]
+    return tuple(parse(value, "sweep.values") for value in _list(values, "sweep values"))
 
 
 def _build(where: str, cls, **kwargs):
@@ -184,27 +219,15 @@ def resolve_config(data: dict) -> RunConfig:
         raise ConfigError("scene.scatterer, tx, rx and grid must share one dimensionality, got "
                           + ", ".join(f"{k} {d}" for k, d in dims.items()))
 
-    thr = cfg["thresholds"]
-    for key, value in thr.items():
-        if not np.isfinite(value):
-            raise ConfigError(f"thresholds.{key}: must be finite, got {value}")
-    if thr["epsilon_lambda"] <= 0:
-        raise ConfigError("thresholds.epsilon_lambda: must be positive")
-    if thr["floor_db"] >= 0 or thr["support_db"] >= 0:
-        raise ConfigError("thresholds.floor_db and thresholds.support_db must be negative")
-    if thr["oracle_ratio"] <= 0:
-        raise ConfigError("thresholds.oracle_ratio: must be positive")
-    if thr["oversample"] < 1:
-        raise ConfigError("thresholds.oversample: must be >= 1")
-
     outputs, sweep = cfg["outputs"], cfg["sweep"]
     if "sweep" in outputs and sweep is None:
         raise ConfigError("sweep: section required when outputs include 'sweep'")
-
-    sweep_param, sweep_values = (sweep["param"], sweep["values"]) if sweep else (None, None)
+    param, values = (sweep["param"], sweep["values"]) if sweep else (None, None)
+    if sweep:
+        sweep_values(param, values, grid.ndim)
     return RunConfig(wave=WaveParams(wavelength=wavelength), tx=tx, rx=rx, scene=scene,
-                     grid=grid, outputs=outputs, thresholds=Thresholds(**thr),
-                     sweep_param=sweep_param, sweep_values=sweep_values,
+                     grid=grid, outputs=outputs, thresholds=Thresholds(**cfg["thresholds"]),
+                     sweep_param=param, sweep_values=values,
                      resolved={k: v for k, v in cfg.items() if v is not None})
 
 

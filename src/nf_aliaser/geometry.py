@@ -207,8 +207,9 @@ class EvalGrid:
         d = lo.shape[0]
         if hi.shape != (d,) or len(res) != d:
             raise GridError("corner_min, corner_max and resolution must share one dimensionality")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise GridError(f"grid corners must be finite, got {lo} and {hi}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(hi - lo)):
+                raise GridError(f"grid corners and extent must be finite, got {lo} and {hi}")
         if not np.all(lo < hi):
             raise GridError(f"corner_min must be < corner_max component-wise, got {lo} vs {hi}")
         if any(r < 2 for r in res):

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import __version__
 from .chirp import AliasingMask, aliasing_mask
-from .config import RunConfig, SWEEP_PARAMS, _as_int, _list, _numbers, _positive, _sweep_param
+from .config import RunConfig, sweep_values
 from .errors import ConfigError
 from .geometry import ArrayGeometry, Scene
 from .imaging import bistatic_image, default_threads, partial_image
@@ -57,33 +57,19 @@ def _sweep_variant(config: RunConfig, param: str, value):
     """
     tx, rx, scene = config.tx, config.rx, config.scene
     wl = config.wave.wavelength
+    (v,) = sweep_values(param, [value], config.grid.ndim)
 
     if param == "spacing":
-        n = _as_int(value, "sweep spacing value")
-        if n < 2:
-            raise ConfigError(f"sweep spacing value must be >= 2 antennas, got {value!r}")
-
         def rebuild(a: ArrayGeometry) -> ArrayGeometry:
             counts, spacings = list(a.counts), list(a.spacings)
             for j in a.sampled_axes():
-                counts[j], spacings[j] = n, a.counts[j] * a.spacings[j] / n
+                counts[j], spacings[j] = v, a.counts[j] * a.spacings[j] / v
             return _recentered(a, a.axes, tuple(counts), np.asarray(spacings))
 
-        return rebuild(tx), rebuild(rx), scene, f"N{n}"
+        return rebuild(tx), rebuild(rx), scene, f"N{v}"
 
     if param == "length":
-        if isinstance(value, dict):
-            try:
-                length_lambda, count = value["length_lambda"], value["count"]
-            except KeyError as exc:
-                raise ConfigError(
-                    f"sweep length value needs length_lambda and count, got {value!r}") from exc
-            n = _as_int(count, "sweep length count")
-            if n < 2:
-                raise ConfigError(f"sweep length count must be >= 2 antennas, got {count!r}")
-        else:
-            length_lambda, n = value, None
-        length = _positive(length_lambda, "sweep length value") * wl
+        length, n = v[0] * wl, v[1]
 
         def rebuild(a: ArrayGeometry) -> ArrayGeometry:
             counts, spacings = list(a.counts), list(a.spacings)
@@ -96,30 +82,19 @@ def _sweep_variant(config: RunConfig, param: str, value):
         return rebuild(tx), rebuild(rx), scene, label
 
     if param == "range":
-        pos = np.asarray(_numbers(value, "sweep range value"))
-        if pos.shape != scene.scatterer.shape or not np.all(np.isfinite(pos)):
-            raise ConfigError(f"sweep range value must be a finite position, got {value!r}")
-        new_scene = Scene(scatterer=pos * wl, reflectivity=scene.reflectivity)
-        label = "pos" + "_".join(f"{v:g}" for v in pos)
+        new_scene = Scene(scatterer=np.asarray(v) * wl, reflectivity=scene.reflectivity)
+        label = "pos" + "_".join(f"{x:g}" for x in v)
         return tx, rx, new_scene, label
 
-    if param == "dimensionality":
-        v = _as_int(value, "sweep dimensionality value")
+    def rebuild(a: ArrayGeometry) -> ArrayGeometry:
+        axes, counts, spacings = list(a.axes[:v]), list(a.counts[:v]), list(a.spacings[:v])
+        while len(axes) < v:
+            axes.append(_perp_axis(axes[0], axes))
+            counts.append(a.counts[0])
+            spacings.append(a.spacings[0])
+        return _recentered(a, np.vstack(axes), tuple(counts), np.asarray(spacings))
 
-        def rebuild(a: ArrayGeometry) -> ArrayGeometry:
-            if v < 1 or v > min(3, a.ndim):
-                raise ConfigError(
-                    f"dimensionality {v} not representable in {a.ndim}D space")
-            axes, counts, spacings = list(a.axes[:v]), list(a.counts[:v]), list(a.spacings[:v])
-            while len(axes) < v:
-                axes.append(_perp_axis(axes[0], axes))
-                counts.append(a.counts[0])
-                spacings.append(a.spacings[0])
-            return _recentered(a, np.vstack(axes), tuple(counts), np.asarray(spacings))
-
-        return rebuild(tx), rebuild(rx), scene, f"{v}d"
-
-    raise ConfigError(f"unknown sweep parameter {param!r}; expected one of {SWEEP_PARAMS}")
+    return rebuild(tx), rebuild(rx), scene, f"{v}d"
 
 
 def _compute(config: RunConfig, tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene,
@@ -188,8 +163,7 @@ def _emit(files: dict, out: Path, name: str, product, config: RunConfig) -> None
 def _sweep_products(config: RunConfig, param, values, out_dir, threads: int):
     param = param or config.sweep_param
     values = values if values is not None else config.sweep_values
-    param = _sweep_param(param, "sweep.param")
-    values = _list(values, "sweep values")
+    sweep_values(param, values, config.grid.ndim)  # refuse a bad value before any is computed
 
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from nf_aliaser import ConfigError, WaveParams, load_config, resolve_config, run, sweep
 from nf_aliaser import runner
 from nf_aliaser.cli import _build_parser, main
-from nf_aliaser.config import Thresholds
+from nf_aliaser.config import SCHEMA, Thresholds
 from nf_aliaser.imaging import default_threads
 from nf_aliaser.presets import PRESETS, preset_config
 from nf_aliaser.runner import _sweep_variant
@@ -138,6 +139,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=rf"^thresholds\.{key}: must be finite"):
             load_config(text)
 
+    @pytest.mark.parametrize("key, value", [
+        ("epsilon_lambda", 0), ("epsilon_lambda", -0.1), ("floor_db", 0), ("floor_db", 5),
+        ("support_db", 0), ("oracle_ratio", 0), ("oversample", 0),
+    ])
+    def test_threshold_out_of_bounds_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^thresholds\.{key}: must be "):
+            resolve_config(small_config(thresholds={key: value}))
+
     @pytest.mark.parametrize("scatterer", [[40.0, 40.0, 0.0], [40.0]])
     def test_scatterer_dimension_mismatch_rejected(self, scatterer):
         cfg = small_config(scene={"scatterer": scatterer})
@@ -155,6 +164,17 @@ class TestLoadConfig:
     def test_threshold_default_is_exclusion_radius(self):
         wave = WaveParams(2.5)
         assert Thresholds().epsilon(wave) == exclusion_radius(wave)
+
+    def test_readme_table_lists_every_schema_row(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = set()
+        for line in readme.splitlines():
+            cells = [cell.strip() for cell in line.strip("| ").split("|")]
+            if line.startswith("|") and len(cells) == 4:
+                sections = [""] if cells[0] == "top level" else re.findall(r"`([^`]+)`", cells[0])
+                listed |= {(sec, key) for sec in sections
+                           for key in re.findall(r"`([^`]+)`", cells[1])}
+        assert {(sec, key) for sec, key, _, _ in SCHEMA} - listed == set()
 
     def test_wavelength_scales_lengths(self):
         cfg = small_config()
@@ -474,6 +494,9 @@ class TestCli:
         ("length", "[-5]", "got -5"),
         ("length", '[{"length_lambda": NaN, "count": 4}]', "got nan"),
         ("length", '[{"length_lambda": 4, "count": 0}]', "got 0"),
+        ("length", '[{"length_lambda": 4, "count": 8, "bogus": 1}]',
+         "sweep.values.bogus: unknown key"),
+        ("length", '[{"length_lambda": 4}]', "sweep.values.count: missing required field"),
         ("spacing", "[]", "sweep values: must be a non-empty list"),
         ("spacing", "4", "sweep values: must be a non-empty list"),
     ])
@@ -484,6 +507,21 @@ class TestCli:
                      "--out", str(tmp_path / "sw")]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and named in err
+
+    @pytest.mark.parametrize("param, values", [
+        ("spacing", [4, 1]), ("length", [4.0, -5]), ("range", [[1.0]]), ("dimensionality", [5]),
+    ])
+    def test_malformed_sweep_value_rejected_at_load(self, tmp_path, capsys, param, values):
+        cfg = json.dumps(small_config(outputs=["mask", "sweep"],
+                                      sweep={"param": param, "values": values}))
+        with pytest.raises(ConfigError, match=r"^sweep\.values: "):
+            load_config(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "configuration error: sweep" in capsys.readouterr().err
+        assert list(out.glob("*")) == []
 
     @pytest.mark.parametrize("param, values", [("range", '[["a", 1]]'), ("length", "[NaN]")])
     def test_run_sweep_malformed_value_exit_code(self, tmp_path, capsys, param, values):

@@ -240,6 +240,7 @@ class TestEvalGrid:
         ([0.0, 0.0], [np.inf, 1.0]),
         ([-np.inf, 0.0], [1.0, 1.0]),
         ([np.nan, 0.0], [1.0, 1.0]),
+        ([-1e308, 0.0], [1e308, 1.0]),  # finite corners, but the extent overflows
     ])
     def test_non_finite_corners_rejected(self, lo, hi):
         with pytest.raises(GridError, match="finite"):
