@@ -176,6 +176,7 @@ def sweep_values(param, values, ndim: int) -> tuple:
     The only code that parses a sweep value. A spacing value is an antenna
     count, a length value is (length_lambda, count or None), a range value is
     a scatterer position and a dimensionality value is a number of lattice axes.
+    Equal values are refused, since each value writes products under its own label.
     """
     parse = {
         "spacing": _at_least(2),
@@ -184,7 +185,11 @@ def sweep_values(param, values, ndim: int) -> tuple:
                           lambda p: len(p) == ndim and np.all(np.isfinite(p))),
         "dimensionality": _checked(_at_least(1), f"at most {ndim}", lambda n: n <= ndim),
     }[_sweep_param(param, "sweep.param")]
-    return tuple(parse(value, "sweep.values") for value in _list(values, "sweep values"))
+    parsed = tuple(parse(value, "sweep.values") for value in _list(values, "sweep values"))
+    for i, v in enumerate(parsed):
+        if v in parsed[:i]:
+            raise ConfigError(f"sweep.values: {values[i]!r} repeats an earlier value")
+    return parsed
 
 
 def _build(where: str, cls, **kwargs):

@@ -139,18 +139,29 @@ def _nearest_distance(arrays):
     return kernel
 
 
-def _chirp_sum(elements: np.ndarray, d_s: np.ndarray, k: float, points: np.ndarray):
-    """Partial-image chirp sum at each point.
+def _chirp_sum(elements: np.ndarray, d_s: np.ndarray, wavelength: float, points: np.ndarray):
+    """Partial-image chirp sum of exp(jk(dt - ds)) / (dt ds) at each point.
 
-    Accumulates sequentially in lattice-element order, so a point gets the
-    same bits whichever block of points it is evaluated in.
+    The phase is taken in turns, w = (dt - ds) / wavelength, less its nearest
+    whole number (an exact step), and each term comes from one t = tan(pi w)
+    through the half-angle identities cos 2 pi w = (1 - t^2) / (1 + t^2) and
+    sin 2 pi w = 2t / (1 + t^2). Accumulates sequentially in lattice-element
+    order, so a point gets the same bits whichever block of points it is
+    evaluated in.
     """
     cols, dt, tmp = _block_columns(points)
     acc = np.zeros(len(points), dtype=np.complex128)
+    re, im = acc.real, acc.imag
     with np.errstate(divide="ignore", invalid="ignore"):
         for e, ds in zip(elements, d_s):
             _distance(e, cols, dt, tmp)
-            acc += np.exp(1j * k * (dt - ds)) / (dt * ds)
+            w = (dt - ds) / wavelength
+            w -= np.rint(w)
+            t = np.tan(np.pi * w)
+            t2 = t * t
+            q = 1.0 / ((1.0 + t2) * (dt * ds))
+            re += (1.0 - t2) * q
+            im += 2.0 * t * q
     return acc
 
 
@@ -187,7 +198,7 @@ def partial_image_at(array: ArrayGeometry, points, scene: Scene, wave: WaveParam
         raise SingularityError(
             "tentative point within the exclusion radius of an array element"
         )
-    return _chirp_sum(elements, d_s, wave.wavenumber, pts)
+    return _chirp_sum(elements, d_s, wave.wavelength, pts)
 
 
 def partial_image(array: ArrayGeometry, scene: Scene, wave: WaveParams, grid: EvalGrid,
@@ -199,7 +210,7 @@ def partial_image(array: ArrayGeometry, scene: Scene, wave: WaveParams, grid: Ev
     """
     eps = exclusion_radius(wave, epsilon)
     elements, d_s, _ = _scatterer_distances(array, scene.scatterer, eps, grid.ndim)
-    return _field(lambda cells: _chirp_sum(elements, d_s, wave.wavenumber, cells), (array,),
+    return _field(lambda cells: _chirp_sum(elements, d_s, wave.wavelength, cells), (array,),
                   grid, eps, scene.scatterer, threads)
 
 

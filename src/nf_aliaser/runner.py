@@ -48,6 +48,13 @@ def _recentered(array: ArrayGeometry, axes: np.ndarray, counts: tuple,
                          spacings=spacings, role_tag=array.role_tag)
 
 
+def _label_number(x: float) -> str:
+    """x in a sweep label: its shortest round-trip repr, less a trailing ".0"
+    (250.0 -> "250"), so that distinct values get distinct labels."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def _sweep_variant(config: RunConfig, param: str, value):
     """Derived (tx, rx, scene, label) for one sweep value.
 
@@ -78,12 +85,12 @@ def _sweep_variant(config: RunConfig, param: str, value):
                 spacings[j] = length / counts[j]
             return _recentered(a, a.axes, tuple(counts), np.asarray(spacings))
 
-        label = f"L{length / wl:g}_N{n}" if n is not None else f"L{length / wl:g}"
+        label = f"L{_label_number(v[0])}" + (f"_N{n}" if n is not None else "")
         return rebuild(tx), rebuild(rx), scene, label
 
     if param == "range":
         new_scene = Scene(scatterer=np.asarray(v) * wl, reflectivity=scene.reflectivity)
-        label = "pos" + "_".join(f"{x:g}" for x in v)
+        label = "pos" + "_".join(map(_label_number, v))
         return tx, rx, new_scene, label
 
     def rebuild(a: ArrayGeometry) -> ArrayGeometry:

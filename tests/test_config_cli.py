@@ -399,6 +399,44 @@ class TestSweep:
         rows = (tmp_path / "run" / "mask.csv").read_text().splitlines()
         assert {"0", "1"} <= set(rows)
 
+    def test_distinct_values_get_distinct_labels(self, tmp_path):
+        config = resolve_config(small_config(outputs=["mask"]))
+        rows = sweep(config, "range", [[40.0000001, 40], [40.0000004, 40]],
+                     out_dir=tmp_path / "sw")
+        assert [r["value"] for r in rows] == ["pos40.0000001_40", "pos40.0000004_40"]
+        for row in rows:
+            assert (tmp_path / "sw" / f"mask_{row['value']}.csv").exists()
+        labels = [_sweep_variant(config, "length", v)[3] for v in (4.0000001, 4.0000004, 4.5)]
+        assert labels == ["L4.0000001", "L4.0000004", "L4.5"]
+
+    @pytest.mark.parametrize("name, labels", [
+        ("fig2a", ["N16", "N64"]), ("fig2b", ["L250_N32", "L1000_N128"]), ("fig2c", ["1d", "2d"]),
+    ])
+    def test_preset_labels(self, name, labels):
+        config = resolve_config(preset_config(name))
+        assert [_sweep_variant(config, config.sweep_param, v)[3]
+                for v in config.sweep_values] == labels
+
+    @pytest.mark.parametrize("param, values", [
+        ("spacing", [4, 4]),
+        ("spacing", [4, 8, 4.0]),
+        ("length", [4, 4.0]),
+        ("length", [{"length_lambda": 4, "count": 8}, {"length_lambda": 4.0, "count": 8}]),
+        ("range", [[40, 40], [40.0, 40.0]]),
+        ("dimensionality", [1, 1.0]),
+    ])
+    def test_equal_values_refused(self, tmp_path, capsys, param, values):
+        cfg = small_config(outputs=["mask", "sweep"], sweep={"param": param, "values": values})
+        with pytest.raises(ConfigError, match=r"^sweep\.values: .* repeats an earlier value"):
+            load_config(json.dumps(cfg))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_config(outputs=["mask"])))
+        out = tmp_path / "sw"
+        assert main(["sweep", str(path), "--param", param, "--values", json.dumps(values),
+                     "--out", str(out)]) == 2
+        assert "configuration error: sweep.values" in capsys.readouterr().err
+        assert list(out.glob("*")) == []
+
     def test_writes_summary(self, tmp_path):
         config = resolve_config(small_config(outputs=["mask"]))
         sweep(config, "spacing", [4, 8], out_dir=tmp_path / "sw")

@@ -24,7 +24,14 @@ from nf_aliaser import (
 )
 from nf_aliaser import chirp, imaging
 from nf_aliaser.geometry import min_element_distance
-from nf_aliaser.imaging import CELL_BLOCK, _distance, _nearest_distance, _run_blocks
+from nf_aliaser.imaging import (
+    CELL_BLOCK,
+    _chirp_sum,
+    _distance,
+    _nearest_distance,
+    _run_blocks,
+    _scatterer_distances,
+)
 
 WAVE = WaveParams(1.0)
 
@@ -511,6 +518,60 @@ class TestDistance:
         for ie, e in enumerate(elements):
             rows = pick == ie
             np.testing.assert_array_equal(got[rows], _column_distance(e, cells)[rows])
+
+
+
+def _long_double_chirp_sum(elements, d_s, wavelength, points):
+    """The chirp sum of the same float64 distances, with the phase, cos, sin
+    and the sum in long double."""
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    acc = np.zeros((2, len(points)), dtype=np.longdouble)
+    for e, ds in zip(elements, d_s):
+        dt = _column_distance(e, points).astype(np.longdouble)
+        phase = two_pi * (dt - np.longdouble(ds)) / np.longdouble(wavelength)
+        acc += np.array([np.cos(phase), np.sin(phase)]) / (dt * np.longdouble(ds))
+    return acc[0].astype(float) + 1j * acc[1].astype(float)
+
+
+class TestChirpSum:
+    @pytest.mark.parametrize("case", ["fig1_block", "planar_3d"])
+    def test_against_long_double_reference(self, case):
+        if case == "fig1_block":
+            # The block holding the scatterer cell (127, 127), so the peak.
+            arr, scatterer, wave = FIG1_TX, FIG1_SCENE.scatterer, WAVE
+            points = FIG1_GRID.cell_centers(3 * CELL_BLOCK, 4 * CELL_BLOCK)
+        else:
+            arr = build_uniform_array([-20.0, -15.0, 0.0], [[1, 0, 0], [0, 0.6, 0.8]],
+                                      [16, 12], [3.1, 2.7], "receive")
+            scatterer, wave = np.array([40.0, 200.0, 150.0]), WaveParams(0.7)
+            points = EvalGrid([-50.0, 100.0, 80.0], [250.0, 300.0, 220.0],
+                              (11, 10, 9)).cell_centers()
+        elements, d_s, _ = _scatterer_distances(arr, scatterer, 0.1, arr.ndim)
+        got = _chirp_sum(elements, d_s, wave.wavelength, points)
+        ref = _long_double_chirp_sum(elements, d_s, wave.wavelength, points)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_half_integer_turns_give_minus_one_over_distances(self):
+        # An element at the origin, ds = |(3, 4)| = 5 and dt = y at (0, y), all
+        # exact: dt - ds is -0.5, 0.5, 1.5 and 2.5 wavelengths, so w = +-1/2
+        # and t = tan(pi w) is about +-1.6e16.
+        assert abs(np.tan(np.pi * 0.5)) > 1e16
+        points = np.array([[0.0, 4.5], [0.0, 5.5], [0.0, 6.5], [0.0, 7.5]])
+        vals = _chirp_sum(np.zeros((1, 2)), np.array([5.0]), 1.0, points)
+        assert np.all(np.isfinite(vals))
+        np.testing.assert_allclose(vals, -1.0 / (points[:, 1] * 5.0), rtol=1e-15, atol=0)
+
+    def test_point_evaluator_matches_grid_at_every_offset_and_length(self):
+        # Every length 1..100 at 40 offsets puts each point both in the vector
+        # body and in the tail of the elementwise loops.
+        arr = build_uniform_array([100.0, 0.0], [[1, 0]], [4], [FIG1_SPACING], "transmit")
+        values = partial_image(arr, FIG1_SCENE, WAVE, FIG1_GRID).values.ravel()
+        points = FIG1_GRID.cell_centers()
+        rng = np.random.default_rng(59)
+        for start in rng.integers(0, FIG1_GRID.num_cells - 100, 40):
+            for n in range(1, 101):
+                got = partial_image_at(arr, points[start:start + n], FIG1_SCENE, WAVE)
+                np.testing.assert_array_equal(got, values[start:start + n])
 
 
 class TestMagnitudeDb:
