@@ -14,10 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridError
 from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams
-from .imaging import (_block_columns, _distance, _nearest_distance, _run_blocks,
-                      _scatterer_distances)
+from .imaging import _block_columns, _distance, _run_blocks, _scatterer_distances
 from .wavefield import _checked_distance, exclusion_radius
 
 AliasingVerdict = namedtuple("AliasingVerdict", ["per_axis", "ok"])
@@ -90,7 +88,7 @@ class AliasingMask:
 def _element_terms(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
     """Inputs both mask kernels share: elements, sampled axes, their unit
     vectors and per-element scatterer projections pu[ja]."""
-    elements, d_s, ds_vec = _scatterer_distances(array, scatterer, eps, array.ndim)
+    elements, d_s, ds_vec = _scatterer_distances(array, scatterer, eps)
     axes_idx = array.sampled_axes()
     units = [array.axes[j] for j in axes_idx]
     pu = [(ds_vec @ u) / d_s for u in units]
@@ -254,19 +252,14 @@ def aliasing_mask(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: Wave
     either array are marked excluded and false.
     """
     eps = exclusion_radius(wave, epsilon)
-    if grid.ndim != tx.ndim or grid.ndim != rx.ndim:
-        raise GridError("grid and arrays must share one dimensionality")
     k = wave.wavenumber
-    shape = grid.resolution
-    nearest = _nearest_distance((tx, rx))
     tx_axes, tx_kmax = _kmax_lines(tx, scene.scatterer, eps)
     rx_axes, rx_kmax = _kmax_lines(rx, scene.scatterer, eps)
-    dmin, *kmaxes = _run_blocks(lambda cells: (nearest(cells), *tx_kmax(cells),
-                                               *rx_kmax(cells)), grid, threads)
-    excluded = dmin <= eps
+    excluded, *kmaxes = _run_blocks(lambda cells: (*tx_kmax(cells), *rx_kmax(cells)),
+                                    (tx, rx), grid, eps, threads)
     layers = []
     sampled = [("tx", tx, j) for j in tx_axes] + [("rx", rx, j) for j in rx_axes]
     for (label, array, j), km in zip(sampled, kmaxes):
         free = (k * km <= 2.0 * np.pi / array.spacings[j]) & ~excluded
-        layers.append(MaskLayer(array_label=label, axis_index=j, free=free.reshape(shape)))
-    return AliasingMask(grid=grid, layers=tuple(layers), excluded=excluded.reshape(shape))
+        layers.append(MaskLayer(array_label=label, axis_index=j, free=free))
+    return AliasingMask(grid=grid, layers=tuple(layers), excluded=excluded)

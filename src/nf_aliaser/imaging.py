@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, SingularityError
-from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams
+from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams, same_dimension
 from .wavefield import _checked_distance, exclusion_radius
 
 # Cells per work block of _run_blocks, which runs every per-cell kernel; fixed
@@ -44,15 +44,21 @@ class ComplexField:
     scatterer: tuple | None = None
 
 
-def _run_blocks(kernel, grid: EvalGrid, threads: int) -> tuple:
+def _run_blocks(kernel, arrays, grid: EvalGrid, eps: float, threads: int) -> tuple:
     """Apply kernel(cells) -> tuple of per-cell arrays to the whole grid.
 
-    The grid is cut into row-major blocks of CELL_BLOCK cells whose centers
-    are generated when the block runs, so memory for centers does not grow
-    with the grid. Blocks run on min(threads, number of blocks) threads.
-    Returns one whole-grid array per kernel output, in row-major order.
+    Raises GridError before any block runs unless the grid shares each
+    array's dimensionality. The grid is cut into row-major blocks of
+    CELL_BLOCK cells whose centers are generated when the block runs, so
+    memory for centers does not grow with the grid. Blocks run on
+    min(threads, number of blocks) threads. Returns, shaped like the grid,
+    the flags of cells within eps of an element, then each kernel output.
     """
+    for a in arrays:
+        same_dimension(grid.corner_min, a.origin, f"grid and {a.role_tag} array")
+    nearest = _nearest_distance(arrays)
     n = grid.num_cells
+    excluded = np.empty(n, dtype=bool)
     outputs = []
     lock = threading.Lock()
 
@@ -61,7 +67,9 @@ def _run_blocks(kernel, grid: EvalGrid, threads: int) -> tuple:
     # 2 threads (planar_sweep benchmark).
     def block(start: int) -> None:
         stop = min(start + CELL_BLOCK, n)
-        part = kernel(grid.cell_centers(start, stop))
+        cells = grid.cell_centers(start, stop)
+        part = kernel(cells)
+        excluded[start:stop] = nearest(cells) <= eps
         with lock:
             if not outputs:
                 outputs.extend(np.empty(n, dtype=p.dtype) for p in part)
@@ -76,7 +84,7 @@ def _run_blocks(kernel, grid: EvalGrid, threads: int) -> tuple:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(block, starts))
-    return tuple(outputs)
+    return tuple(out.reshape(grid.resolution) for out in (excluded, *outputs))
 
 
 def _distance(e, cols: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -102,17 +110,12 @@ def _block_columns(cells: np.ndarray) -> tuple:
     return np.ascontiguousarray(cells.T), np.empty(n), np.empty(n)
 
 
-def _scatterer_distances(array: ArrayGeometry, scatterer: np.ndarray, eps: float, ndim: int):
-    """Element positions, their distances to the scatterer and the offsets
-    elements - scatterer, for points of ndim coordinates.
+def _scatterer_distances(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
+    """Element positions and their distances to and offsets from the scatterer.
 
-    Raises GridError unless points, array and scatterer share one
-    dimensionality, and SingularityError when the scatterer lies within eps
-    of an element.
+    Raises GridError unless array and scatterer share one dimensionality, and
+    SingularityError when the scatterer lies within eps of an element.
     """
-    if ndim != array.ndim:
-        raise GridError(f"{ndim}D points and a {array.ndim}D {array.role_tag} array must "
-                        "share one dimensionality")
     elements = array.element_positions()
     d_s, ds_vec = _checked_distance(elements, scatterer, eps,
                                     f"scatterer and {array.role_tag} elements")
@@ -167,17 +170,13 @@ def _chirp_sum(elements: np.ndarray, d_s: np.ndarray, wavelength: float, points:
 
 def _field(kernel, arrays, grid: EvalGrid, eps: float, scatterer: np.ndarray,
            threads: int) -> ComplexField:
-    """kernel(cells) -> values over the grid, in one pass with the nearest-element
-    distance; cells within eps of an element are zeroed and flagged."""
-    nearest = _nearest_distance(arrays)
-    values, dmin = _run_blocks(lambda cells: (kernel(cells), nearest(cells)), grid, threads)
-    excluded = dmin <= eps
+    """kernel(cells) -> values over the grid; cells within eps of an element
+    are zeroed and flagged."""
+    excluded, values = _run_blocks(lambda cells: (kernel(cells),), arrays, grid, eps, threads)
     if excluded.all():
         raise GridError("every grid cell lies within the exclusion radius of an element")
     values[excluded] = 0.0
-    shape = grid.resolution
-    return ComplexField(grid=grid, values=values.reshape(shape),
-                        excluded=excluded.reshape(shape), scatterer=tuple(scatterer))
+    return ComplexField(grid=grid, values=values, excluded=excluded, scatterer=tuple(scatterer))
 
 
 def partial_image_at(array: ArrayGeometry, points, scene: Scene, wave: WaveParams,
@@ -186,12 +185,13 @@ def partial_image_at(array: ArrayGeometry, points, scene: Scene, wave: WaveParam
 
     Each value is the sum over array elements of the spatial chirp
     conj(z(tentative, element)) * z(scatterer, element). Raises GridError for
-    a non-finite point and SingularityError if any point or the scatterer is
-    within the exclusion radius of an element, before any chirp is summed.
+    a point of another dimensionality than the array or a non-finite point,
+    and SingularityError if any point or the scatterer is within the
+    exclusion radius of an element, before any chirp is summed.
     """
     eps = exclusion_radius(wave, epsilon)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    elements, d_s, _ = _scatterer_distances(array, scene.scatterer, eps, pts.shape[-1])
+    pts, _ = same_dimension(np.atleast_2d(points), array.origin, "partial_image_at")
+    elements, d_s, _ = _scatterer_distances(array, scene.scatterer, eps)
     if not np.all(np.isfinite(pts)):
         raise GridError("tentative points must be finite")
     if np.any(_nearest_distance((array,))(pts) <= eps):
@@ -209,7 +209,7 @@ def partial_image(array: ArrayGeometry, scene: Scene, wave: WaveParams, grid: Ev
     carry the value 0.
     """
     eps = exclusion_radius(wave, epsilon)
-    elements, d_s, _ = _scatterer_distances(array, scene.scatterer, eps, grid.ndim)
+    elements, d_s, _ = _scatterer_distances(array, scene.scatterer, eps)
     return _field(lambda cells: _chirp_sum(elements, d_s, wave.wavelength, cells), (array,),
                   grid, eps, scene.scatterer, threads)
 
@@ -240,8 +240,8 @@ def direct_image(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: WaveP
     accumulation is sequential in (tx-element, rx-element) lattice order.
     """
     eps = exclusion_radius(wave, epsilon)
-    et, dst, _ = _scatterer_distances(tx, scene.scatterer, eps, grid.ndim)
-    er, dsr, _ = _scatterer_distances(rx, scene.scatterer, eps, grid.ndim)
+    et, dst, _ = _scatterer_distances(tx, scene.scatterer, eps)
+    er, dsr, _ = _scatterer_distances(rx, scene.scatterer, eps)
 
     k = wave.wavenumber
     zeta = scene.reflectivity

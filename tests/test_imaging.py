@@ -328,6 +328,9 @@ MISMATCHES = {
     "3d_arrays-partial_image": lambda: partial_image(TX3, SCENE2, WAVE, GRID2),
     "3d_arrays-direct_image": lambda: direct_image(TX3, RX3, SCENE2, WAVE, GRID2),
     "3d_arrays-partial_image_at": lambda: partial_image_at(TX3, [POINT2], SCENE2, WAVE),
+    "3d_arrays_3d_scene-partial_image": lambda: partial_image(TX3, SCENE3, WAVE, GRID2),
+    "3d_arrays_3d_scene-direct_image": lambda: direct_image(TX3, RX3, SCENE3, WAVE, GRID2),
+    "3d_arrays_3d_scene-aliasing_mask": lambda: aliasing_mask(TX3, RX3, SCENE3, WAVE, GRID2),
     "3d_array_2d_points-partial_image_at":
         lambda: partial_image_at(TX3, [POINT2], SCENE3, WAVE),
     "3d_points-partial_image_at":
@@ -387,9 +390,10 @@ class TestBlocks:
             return executor(max_workers=max_workers)
 
         monkeypatch.setattr(imaging, "ThreadPoolExecutor", recording)
-        (ones,) = _run_blocks(lambda cells: (np.ones(len(cells)),), BLOCK_GRID, threads)
+        _, ones = _run_blocks(lambda cells: (np.ones(len(cells)),), (BLOCK_TX,), BLOCK_GRID,
+                              0.1, threads)
         assert pools == ([] if workers is None else [workers])
-        assert ones.shape == (BLOCK_GRID.num_cells,) and ones.all()
+        assert ones.shape == BLOCK_GRID.resolution and ones.all()
 
     def test_partial_image_matches_point_evaluator_bitwise(self):
         field = partial_image(BLOCK_TX, BLOCK_SCENE, WAVE, BLOCK_GRID, threads=2)
@@ -546,7 +550,7 @@ class TestChirpSum:
             scatterer, wave = np.array([40.0, 200.0, 150.0]), WaveParams(0.7)
             points = EvalGrid([-50.0, 100.0, 80.0], [250.0, 300.0, 220.0],
                               (11, 10, 9)).cell_centers()
-        elements, d_s, _ = _scatterer_distances(arr, scatterer, 0.1, arr.ndim)
+        elements, d_s, _ = _scatterer_distances(arr, scatterer, 0.1)
         got = _chirp_sum(elements, d_s, wave.wavelength, points)
         ref = _long_double_chirp_sum(elements, d_s, wave.wavelength, points)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
