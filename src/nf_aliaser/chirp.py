@@ -48,15 +48,11 @@ def aliasing_free(array: ArrayGeometry, tentative, scatterer, wave: WaveParams,
     Axes with a single element perform no spatial sampling and are vacuously
     aliasing-free.
     """
-    kvec = local_wavenumber(array.element_positions(), tentative, scatterer, wave, epsilon)
-    per_axis = []
-    for j in range(array.n_axes):
-        if array.counts[j] < 2:
-            per_axis.append(True)
-            continue
-        k_j = float(np.max(np.abs(kvec @ array.axes[j])))
-        per_axis.append(bool(k_j <= 2.0 * np.pi / array.spacings[j]))
-    return AliasingVerdict(per_axis=tuple(per_axis), ok=all(per_axis))
+    sampled = array.sampled_axes()
+    per_axis = tuple(bool(max_spatial_frequency(array, tentative, scatterer, wave, j, epsilon)
+                          <= 2.0 * np.pi / array.spacings[j]) or j not in sampled
+                     for j in range(array.n_axes))
+    return AliasingVerdict(per_axis=per_axis, ok=all(per_axis))
 
 
 @dataclass

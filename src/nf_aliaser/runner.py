@@ -127,16 +127,18 @@ def _compute(config: RunConfig, tx: ArrayGeometry, rx: ArrayGeometry, scene: Sce
 
 
 def _peak_summary(config: RunConfig, computed: dict) -> dict:
-    """Mask size, image peak, and peak-to-artifact ratio outside the mask."""
+    """Mask size, image peak, and peak-to-artifact ratio outside the mask. The
+    peak is the first usable cell, row-major, within 1e-12 relative of the
+    largest usable magnitude, so that mirror cells that tie never swap."""
     image, mask = computed["image"], computed["mask"]
     mag = np.abs(image.values)
     usable = ~image.excluded
     search = np.where(usable, mag, -1.0)
-    peak_flat = int(np.argmax(search))
+    peak_val = search.max()
+    peak_flat = int(np.argmax(search >= (1.0 - 1e-12) * peak_val))
     peak_cell = np.unravel_index(peak_flat, config.grid.resolution)
     centers = [config.grid.axis_centers(j)[i] for j, i in enumerate(peak_cell)]
     outside = usable & ~mask.combined
-    peak_val = mag[peak_cell]
     if outside.any() and mag[outside].max() > 0 and peak_val > 0:
         ratio_db = 20.0 * np.log10(peak_val / mag[outside].max())
     else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import ArrayGeometry, Scene, WaveParams
+from .geometry import ArrayGeometry, Scene, WaveParams, whole_numbers
 from .imaging import partial_image_at
 from .wavefield import chirp_value
 
@@ -48,6 +48,7 @@ def sample_chirp_along_axis(array: ArrayGeometry, tentative, scatterer,
     spacing/oversample; the other lattice indices are held at their middle
     element. oversample=1 reproduces the per-element chirp values.
     """
+    (oversample,) = whole_numbers(oversample, GeometryError, "oversample")
     if oversample < 1:
         raise GeometryError(f"oversample must be >= 1, got {oversample}")
     if array.counts[axis_index] < 2:
@@ -75,8 +76,10 @@ def spectral_support(samples, spacing: float, threshold_db: float,
     samples = np.asarray(samples, dtype=np.complex128)
     if samples.ndim != 1 or len(samples) < 8:
         raise GeometryError(f"need at least 8 samples, got {samples.shape}")
-    if threshold_db >= 0:
-        raise GeometryError(f"threshold_db must be negative, got {threshold_db}")
+    if not (np.isfinite(spacing) and spacing > 0):
+        raise GeometryError(f"spacing must be positive and finite, got {spacing}")
+    if not (np.isfinite(threshold_db) and threshold_db < 0):
+        raise GeometryError(f"threshold_db must be negative and finite, got {threshold_db}")
     if window not in WINDOWS:
         raise GeometryError(f"window must be one of {WINDOWS}, got {window!r}")
 
@@ -115,14 +118,13 @@ def _reference_array(array: ArrayGeometry, wave: WaveParams) -> ArrayGeometry:
 
 
 def aliasing_oracle_many(array: ArrayGeometry, points, scatterer, wave: WaveParams,
-                         ratio: float = 0.5, epsilon=None,
-                         floor_fraction: float = ORACLE_FLOOR_FRACTION) -> np.ndarray:
+                         ratio: float = 0.5, epsilon=None) -> np.ndarray:
     """Vectorized aliasing oracle over many tentative points (True = aliased).
 
     Compares the element-count-normalized partial image value at the actual
     spacing against a dense lambda/4 reference over the same aperture; a point
     is aliased when the magnitudes differ by more than `ratio` of the local
-    scale (at least `floor_fraction` of the reference's matched response).
+    scale (at least ORACLE_FLOOR_FRACTION of the reference's matched response).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     scene = Scene(scatterer=scatterer)
@@ -131,5 +133,5 @@ def aliasing_oracle_many(array: ArrayGeometry, points, scatterer, wave: WavePara
     dense = np.abs(partial_image_at(reference, pts, scene, wave, epsilon)) / reference.num_elements
     matched = np.abs(partial_image_at(reference, scene.scatterer[None, :], scene, wave,
                                       epsilon))[0] / reference.num_elements
-    scale = np.maximum(np.maximum(coarse, dense), floor_fraction * matched)
+    scale = np.maximum(np.maximum(coarse, dense), ORACLE_FLOOR_FRACTION * matched)
     return np.abs(coarse - dense) > ratio * scale

@@ -7,9 +7,10 @@ import pytest
 
 from nf_aliaser import ConfigError, WaveParams, load_config, resolve_config, run, sweep
 from nf_aliaser import runner
+from nf_aliaser.chirp import AliasingMask, MaskLayer
 from nf_aliaser.cli import _build_parser, main
 from nf_aliaser.config import SCHEMA, Thresholds
-from nf_aliaser.imaging import default_threads
+from nf_aliaser.imaging import ComplexField, default_threads
 from nf_aliaser.presets import PRESETS, preset_config
 from nf_aliaser.runner import _sweep_variant
 from nf_aliaser.wavefield import exclusion_radius
@@ -296,6 +297,21 @@ class TestSweep:
         rows = sweep(config, "dimensionality", [1, 2])
         assert [r["value"] for r in rows] == ["1d", "2d"]
         assert rows[1]["mask_cells"] <= rows[0]["mask_cells"]
+
+    @pytest.mark.parametrize("toward", [np.inf, -np.inf])
+    def test_peak_tie_between_mirror_cells_reports_first_cell(self, toward):
+        # Mirror cells (2, 9) and (9, 2) one ulp apart, in either direction.
+        config = resolve_config(small_config())
+        values = np.ones(config.grid.resolution, dtype=complex)
+        values[2, 9], values[9, 2] = 10.0, np.nextafter(10.0, toward)
+        none = np.zeros(config.grid.resolution, dtype=bool)
+        image = ComplexField(grid=config.grid, values=values, excluded=none)
+        free = np.abs(values) > 5.0
+        mask = AliasingMask(grid=config.grid, layers=(MaskLayer("tx", 0, free),), excluded=none)
+        row = runner._peak_summary(config, {"image": image, "mask": mask})
+        assert row["peak_cell"] == (2, 9)
+        assert row["peak_position_lambda"] == (33.125, 41.875)
+        assert row["peak_to_artifact_db"] == pytest.approx(20.0)
 
     def test_sweep_needs_param_and_values(self):
         config = resolve_config(small_config(outputs=["mask"]))

@@ -307,6 +307,7 @@ TX2 = build_uniform_array([0.0, 0.0], [[1, 0]], [4], [1.0], "transmit")
 RX2 = build_uniform_array([0.0, 0.0], [[0, 1]], [4], [1.0], "receive")
 TX3 = build_uniform_array([0.0, 0.0, 0.0], [[1, 0, 0]], [4], [1.0], "transmit")
 RX3 = build_uniform_array([0.0, 0.0, 0.0], [[0, 1, 0]], [4], [1.0], "receive")
+ONE2 = build_uniform_array([0.0, 0.0], [[1, 0]], [1], [1.0], "transmit")
 GRID2 = EvalGrid([10.0, 10.0], [20.0, 20.0], (4, 4))
 POINT2 = [15.0, 12.0]
 SCENE1, SCENE2, SCENE3 = Scene([15.0]), Scene([15.0, 15.0]), Scene([15.0, 15.0, 0.0])
@@ -317,6 +318,8 @@ MISMATCHES = {
     "1d_scatterer-direct_image": lambda: direct_image(TX2, RX2, SCENE1, WAVE, GRID2),
     "1d_scatterer-aliasing_mask": lambda: aliasing_mask(TX2, RX2, SCENE1, WAVE, GRID2),
     "1d_scatterer-aliasing_free": lambda: aliasing_free(TX2, POINT2, [15.0], WAVE),
+    "1d_scatterer-aliasing_free_one_element":
+        lambda: aliasing_free(ONE2, POINT2, [15.0], WAVE),
     "1d_scatterer-max_spatial_frequency":
         lambda: max_spatial_frequency(TX2, POINT2, [15.0], WAVE, 0),
     "1d_scatterer-local_wavenumber": lambda: local_wavenumber(PROBES2, POINT2, [15.0], WAVE),

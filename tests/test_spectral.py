@@ -59,9 +59,10 @@ class TestSampleChirp:
         with pytest.raises(GeometryError):
             sample_chirp_along_axis(arr, [60.0, 40.0], [50.0, -20.0], WAVE, 1, 4)
 
-    def test_bad_oversample_rejected(self):
+    @pytest.mark.parametrize("oversample", [0, 2.5])
+    def test_bad_oversample_rejected(self, oversample):
         with pytest.raises(GeometryError):
-            sample_chirp_along_axis(FIG1_TX, [1400.0, 800.0], FIG1_XS, WAVE, 0, 0)
+            sample_chirp_along_axis(FIG1_TX, [1400.0, 800.0], FIG1_XS, WAVE, 0, oversample)
 
 
 class TestSpectralSupport:
@@ -93,6 +94,11 @@ class TestSpectralSupport:
             spectral_support(samples[:4], 0.5, -20.0)
         with pytest.raises(GeometryError):
             spectral_support(samples, 0.5, 3.0)
+        with pytest.raises(GeometryError):
+            spectral_support(samples, 0.5, np.nan)
+        for spacing in (0.0, np.nan, np.inf, -0.5):
+            with pytest.raises(GeometryError):
+                spectral_support(samples, spacing, -20.0)
         with pytest.raises(GeometryError):
             spectral_support(samples, 0.5, -20.0, window="hamming")
 
