@@ -49,6 +49,7 @@ def aliasing_free(array: ArrayGeometry, tentative, scatterer, wave: WaveParams,
     aliasing-free.
     """
     sampled = array.sampled_axes()
+    # Every axis is evaluated, so that a one-element array's inputs are checked.
     per_axis = tuple(bool(max_spatial_frequency(array, tentative, scatterer, wave, j, epsilon)
                           <= 2.0 * np.pi / array.spacings[j]) or j not in sampled
                      for j in range(array.n_axes))
