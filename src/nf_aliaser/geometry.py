@@ -142,6 +142,17 @@ class ArrayGeometry:
         offs = [(c - 1) / 2.0 * s for c, s in zip(self.counts, self.spacings)]
         return self.origin + np.asarray(offs) @ self.axes
 
+    def lattice_axis(self, axis_index) -> int:
+        """axis_index as an int: the one check of an argument that names a
+        lattice axis. GeometryError unless it is an integer in 0..n_axes-1;
+        a negative index would silently name an axis from the end."""
+        if (isinstance(axis_index, (bool, np.bool_))
+                or not isinstance(axis_index, (int, np.integer))
+                or not 0 <= axis_index < self.n_axes):
+            raise GeometryError(f"axis_index must be an integer in 0..{self.n_axes - 1}, "
+                                f"got {axis_index!r}")
+        return int(axis_index)
+
     def sampled_axes(self) -> tuple:
         """Indices of lattice axes that actually sample space (>= 2 elements)."""
         return tuple(j for j, c in enumerate(self.counts) if c >= 2)

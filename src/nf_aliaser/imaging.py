@@ -2,6 +2,9 @@
 
 Per-cell sums run in fixed lattice-element order (sequential accumulation), so
 results are bit-identical no matter how the cell loop is chunked or threaded.
+When blocks run on more than one thread, the chirp sum evaluates its elements
+in batches and adds each batch's rows in element order, so no bit depends on
+the batch width either.
 """
 
 from __future__ import annotations
@@ -20,6 +23,13 @@ from .wavefield import _checked_distance, exclusion_radius
 # Cells per work block of _run_blocks, which runs every per-cell kernel; fixed
 # so the decomposition (and the output bits) do not depend on the thread count.
 CELL_BLOCK = 8192
+
+# Elements per batch of the chirp sum when blocks run on more than one thread.
+# One element per numpy call spends the time in call dispatch, which holds the
+# interpreter lock; on one thread batches only cost memory traffic. Each
+# thread holds three (batch, block) float buffers; at 8 elements the
+# planar_sweep benchmark's peak RSS reached its 10% bound.
+ELEMENT_BATCH = 6
 
 
 def default_threads() -> int:
@@ -44,15 +54,18 @@ class ComplexField:
     scatterer: tuple | None = None
 
 
-def _run_blocks(kernel, arrays, grid: EvalGrid, eps: float, threads: int) -> tuple:
-    """Apply kernel(cells) -> tuple of per-cell arrays to the whole grid.
+def _run_blocks(kernel, arrays, grid: EvalGrid, eps: float, threads: int,
+                batch: int = 1) -> tuple:
+    """Apply kernel(cells, rows) -> tuple of per-cell arrays to the whole grid.
 
     Raises GridError before any block runs unless the grid shares each
     array's dimensionality. The grid is cut into row-major blocks of
     CELL_BLOCK cells whose centers are generated when the block runs, so
     memory for centers does not grow with the grid. Blocks run on
-    min(threads, number of blocks) threads. Returns, shaped like the grid,
-    the flags of cells within eps of an element, then each kernel output.
+    min(threads, number of blocks) threads; rows, the kernel's batch width,
+    is batch on more than one thread and 1 otherwise. Returns, shaped like
+    the grid, the flags of cells within eps of an element, then each kernel
+    output.
     """
     for a in arrays:
         same_dimension(grid.corner_min, a.origin, f"grid and {a.role_tag} array")
@@ -65,10 +78,14 @@ def _run_blocks(kernel, arrays, grid: EvalGrid, eps: float, threads: int) -> tup
     # The thread that computes a block also writes it out: handing block
     # results to the calling thread instead raised peak RSS by 1-3 MB at
     # 2 threads (planar_sweep benchmark).
+    starts = range(0, n, CELL_BLOCK)
+    workers = min(threads, len(starts))
+    rows = batch if workers > 1 else 1
+
     def block(start: int) -> None:
         stop = min(start + CELL_BLOCK, n)
         cells = grid.cell_centers(start, stop)
-        part = kernel(cells)
+        part = kernel(cells, rows)
         excluded[start:stop] = nearest(cells) <= eps
         with lock:
             if not outputs:
@@ -76,8 +93,6 @@ def _run_blocks(kernel, arrays, grid: EvalGrid, eps: float, threads: int) -> tup
         for out, p in zip(outputs, part):
             out[start:stop] = p
 
-    starts = range(0, n, CELL_BLOCK)
-    workers = min(threads, len(starts))
     if workers <= 1:
         for start in starts:
             block(start)
@@ -142,37 +157,60 @@ def _nearest_distance(arrays):
     return kernel
 
 
-def _chirp_sum(elements: np.ndarray, d_s: np.ndarray, wavelength: float, points: np.ndarray):
+def _chirp_sum(elements: np.ndarray, d_s: np.ndarray, wavelength: float, points: np.ndarray,
+               batch: int = 1):
     """Partial-image chirp sum of exp(jk(dt - ds)) / (dt ds) at each point.
 
     The phase is taken in turns, w = (dt - ds) / wavelength, less its nearest
     whole number (an exact step), and each term comes from one t = tan(pi w)
     through the half-angle identities cos 2 pi w = (1 - t^2) / (1 + t^2) and
-    sin 2 pi w = 2t / (1 + t^2). Accumulates sequentially in lattice-element
-    order, so a point gets the same bits whichever block of points it is
-    evaluated in.
+    sin 2 pi w = 2t / (1 + t^2). Evaluates `batch` elements at a time as
+    (batch, n) arrays in three scratch buffers, then adds the batch's terms
+    row by row, so the sums accumulate sequentially in lattice-element order
+    and a point gets the same bits whichever block of points, and whichever
+    batch width, it is evaluated with.
     """
-    cols, dt, tmp = _block_columns(points)
-    acc = np.zeros(len(points), dtype=np.complex128)
+    n = len(points)
+    cols = np.ascontiguousarray(points.T)
+    x = elements.T
+    dt_buf, t_buf, q_buf = np.empty((3, min(batch, len(elements)), n))
+    acc = np.zeros(n, dtype=np.complex128)
     re, im = acc.real, acc.imag
     with np.errstate(divide="ignore", invalid="ignore"):
-        for e, ds in zip(elements, d_s):
-            _distance(e, cols, dt, tmp)
-            w = (dt - ds) / wavelength
-            w -= np.rint(w)
-            t = np.tan(np.pi * w)
-            t2 = t * t
-            q = 1.0 / ((1.0 + t2) * (dt * ds))
-            re += (1.0 - t2) * q
-            im += 2.0 * t * q
+        for lo in range(0, len(elements), len(dt_buf)):
+            hi = min(lo + len(dt_buf), len(elements))
+            dt, t, q = dt_buf[:hi - lo], t_buf[:hi - lo], q_buf[:hi - lo]
+            ds = d_s[lo:hi, None]
+            _distance([x_i[lo:hi, None] for x_i in x], cols, dt, t)
+            w = np.subtract(dt, ds, out=t)
+            w /= wavelength
+            w -= np.rint(w, out=q)
+            np.tan(np.multiply(w, np.pi, out=t), out=t)
+            # q = 1 / ((1 + t^2) (dt ds)); t^2 is formed again afterwards in
+            # dt, which saves a fourth buffer.
+            dt *= ds
+            np.multiply(t, t, out=q)
+            q += 1.0
+            q *= dt
+            np.divide(1.0, q, out=q)
+            np.multiply(t, t, out=dt)
+            np.subtract(1.0, dt, out=dt)
+            dt *= q
+            t *= 2.0
+            t *= q
+            for row in dt:
+                re += row
+            for row in t:
+                im += row
     return acc
 
 
 def _field(kernel, arrays, grid: EvalGrid, eps: float, scatterer: np.ndarray,
-           threads: int) -> ComplexField:
-    """kernel(cells) -> values over the grid; cells within eps of an element
-    are zeroed and flagged."""
-    excluded, values = _run_blocks(lambda cells: (kernel(cells),), arrays, grid, eps, threads)
+           threads: int, batch: int = 1) -> ComplexField:
+    """kernel(cells, rows) -> values over the grid, with _run_blocks' rows;
+    cells within eps of an element are zeroed and flagged."""
+    excluded, values = _run_blocks(lambda cells, rows: (kernel(cells, rows),), arrays, grid,
+                                   eps, threads, batch)
     if excluded.all():
         raise GridError("every grid cell lies within the exclusion radius of an element")
     values[excluded] = 0.0
@@ -210,8 +248,8 @@ def partial_image(array: ArrayGeometry, scene: Scene, wave: WaveParams, grid: Ev
     """
     eps = exclusion_radius(wave, epsilon)
     elements, d_s, _ = _scatterer_distances(array, scene.scatterer, eps)
-    return _field(lambda cells: _chirp_sum(elements, d_s, wave.wavelength, cells), (array,),
-                  grid, eps, scene.scatterer, threads)
+    return _field(lambda cells, rows: _chirp_sum(elements, d_s, wave.wavelength, cells, rows),
+                  (array,), grid, eps, scene.scatterer, threads, ELEMENT_BATCH)
 
 
 def bistatic_image(tx_field: ComplexField, rx_field: ComplexField,
@@ -264,7 +302,7 @@ def direct_image(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: WaveP
                     acc += u * (np.exp(1j * k * dr) / dr) * czt[it]
         return acc
 
-    return _field(kernel, (tx, rx), grid, eps, scene.scatterer, threads)
+    return _field(lambda cells, _: kernel(cells), (tx, rx), grid, eps, scene.scatterer, threads)
 
 
 def magnitude_db(field_: ComplexField, floor_db: float) -> np.ndarray:

@@ -46,8 +46,11 @@ def sample_chirp_along_axis(array: ArrayGeometry, tentative, scatterer,
 
     Sampling covers the same aperture as the element lattice with spacing
     spacing/oversample; the other lattice indices are held at their middle
-    element. oversample=1 reproduces the per-element chirp values.
+    element. oversample=1 reproduces the per-element chirp values. Raises
+    GeometryError unless axis_index names a lattice axis of two or more
+    elements.
     """
+    axis_index = array.lattice_axis(axis_index)
     (oversample,) = whole_numbers(oversample, GeometryError, "oversample")
     if oversample < 1:
         raise GeometryError(f"oversample must be >= 1, got {oversample}")

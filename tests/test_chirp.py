@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nf_aliaser import (
+    GeometryError,
     Scene,
     SingularityError,
     WaveParams,
@@ -115,6 +116,14 @@ class TestMaxSpatialFrequency:
             k_small = max_spatial_frequency(small, pt, xs, WAVE, 0)
             k_big = max_spatial_frequency(big, pt, xs, WAVE, 0)
             assert k_small <= k_big
+
+    @pytest.mark.parametrize("axis_index", [-1, 2, True])
+    def test_axis_index_outside_lattice_rejected(self, axis_index):
+        # -1 used to project on the last axis.
+        arr = build_uniform_array([0.0, 0.0], [[1, 0], [0, 1]], [4, 5], [1.0, 1.0],
+                                  "transmit")
+        with pytest.raises(GeometryError, match="axis_index"):
+            max_spatial_frequency(arr, [60.0, 40.0], [50.0, -20.0], WAVE, axis_index)
 
 
 class TestAliasingFree:
@@ -284,6 +293,56 @@ class TestLineKernel:
         rng = np.random.default_rng(47)
         cells = np.vstack([rng.uniform(-10, 10, (300, 2)), [[3.0, -2.0], [3.05, -2.0]]])
         _assert_kernels_agree(arr, [20.0, 5.0], cells)
+
+    @pytest.mark.parametrize("case", ["linear_1d", "linear", "planar", "volume", "planar_3d",
+                                      "on_a_line"])
+    def test_batch_width_keeps_every_bit(self, case):
+        scatterer = [30.0, 25.0, 20.0]
+        if case == "linear_1d":
+            arr = build_uniform_array([-3.0], [[1]], [11], [0.7], "transmit")
+        elif case == "linear":
+            arr = build_uniform_array([-10.0, 0.0], [[0.6, 0.8]], [9], [1.3], "transmit")
+        elif case == "planar":
+            arr = build_uniform_array([-10.0, 0.0], [[0.6, 0.8], [-0.8, 0.6]], [7, 10],
+                                      [1.3, 0.9], "transmit")
+        elif case == "volume":
+            arr = build_uniform_array([-20.0, -15.0, 0.0],
+                                      [[1, 0, 0], [0, 0.6, 0.8], [0, -0.8, 0.6]],
+                                      [5, 4, 3], [3.1, 2.7, 1.9], "receive")
+        elif case == "planar_3d":
+            arr = build_uniform_array([-20.0, -15.0, 0.0], [[1, 0, 0], [0, 0.6, 0.8]],
+                                      [7, 10], [3.1, 2.7], "receive")
+        else:
+            # The scatterer lies on the lattice line of row 2 (b = 0), between
+            # its elements 2 and 3, so the batches of widths 3 and 8 mix that
+            # line with lines where b > 0.
+            arr = build_uniform_array([0.0, 0.0], [[1, 0], [0, 1]], [6, 5], [1.5, 2.0],
+                                      "transmit")
+            scatterer = [3.75, 4.0]
+            assert (arr.element_positions()[:, 1] == 4.0).sum() == 6
+            assert _assert_kernels_agree(arr, scatterer, self._cells(arr, scatterer)) > 0
+        scatterer = np.asarray(scatterer[:arr.ndim])
+        _, kernel = chirp._kmax_lines(arr, scatterer, 0.1)
+        cells = self._cells(arr, scatterer)
+        one = kernel(cells, 1)
+        assert len(one) == arr.n_axes
+        lines = arr.num_elements // min(arr.counts)
+        for batch in (3, 8, lines + 5):
+            got = kernel(cells, batch)
+            assert [k.tobytes() for k in got] == [k.tobytes() for k in one], batch
+
+    @staticmethod
+    def _cells(arr, scatterer):
+        """Random cells around the array, cells on its element lines, and on
+        its first three elements (0/0 terms)."""
+        rng = np.random.default_rng(59)
+        elements = arr.element_positions()
+        lo = np.minimum(elements.min(axis=0), scatterer) - 30.0
+        hi = np.maximum(elements.max(axis=0), scatterer) + 30.0
+        t = rng.uniform(-40.0, 40.0, (300, 1))
+        on_lines = elements[rng.integers(0, len(elements), 300)] + t * arr.axes[
+            rng.integers(0, arr.n_axes, 300)]
+        return np.vstack([rng.uniform(lo, hi, (700, arr.ndim)), on_lines, elements[:3]])
 
     @pytest.mark.parametrize("case", ["fig1", "long_array", "short_arrays"])
     def test_mask_bit_identical_to_exhaustive(self, case, monkeypatch):

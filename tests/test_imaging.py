@@ -357,6 +357,8 @@ BLOCK_GRID = EvalGrid([-60.0, -40.0], [60.0, 80.0], (37, 443))
 BLOCK_TX = build_uniform_array([-10.0, 0.0], [[1, 0]], [12], [1.7], "transmit")
 BLOCK_RX = build_uniform_array([0.0, -10.0], [[0.6, 0.8], [-0.8, 0.6]], [3, 4], [1.3, 0.9],
                                "receive")
+BLOCK_PLANAR = build_uniform_array([-10.0, 0.0], [[1, 0], [0, 1]], [6, 5], [1.7, 1.1],
+                                   "transmit")
 BLOCK_SCENE = Scene([25.0, 30.0], 0.5 + 2.0j)
 BLOCK_KERNELS = {
     "partial_image": lambda threads: partial_image(BLOCK_TX, BLOCK_SCENE, WAVE, BLOCK_GRID,
@@ -393,10 +395,38 @@ class TestBlocks:
             return executor(max_workers=max_workers)
 
         monkeypatch.setattr(imaging, "ThreadPoolExecutor", recording)
-        _, ones = _run_blocks(lambda cells: (np.ones(len(cells)),), (BLOCK_TX,), BLOCK_GRID,
-                              0.1, threads)
+        widths = set()
+
+        def kernel(cells, rows):
+            widths.add(rows)
+            return (np.ones(len(cells)),)
+
+        _, ones = _run_blocks(kernel, (BLOCK_TX,), BLOCK_GRID, 0.1, threads, batch=5)
         assert pools == ([] if workers is None else [workers])
+        # Batches only where blocks run on more than one thread.
+        assert widths == ({1} if workers is None else {5})
         assert ones.shape == BLOCK_GRID.resolution and ones.all()
+
+    @pytest.mark.parametrize("name", ["partial_image", "aliasing_mask"])
+    def test_planar_array_threads_bit_identical(self, name):
+        # A planar array has several lattice lines per axis, so that the mask's
+        # line batches engage on 2 threads; its 30 elements end the chirp sum
+        # in a partial batch.
+        if name == "partial_image":
+            one, two = (partial_image(BLOCK_PLANAR, BLOCK_SCENE, WAVE, BLOCK_GRID,
+                                      threads=threads) for threads in (1, 2))
+            assert one.values.tobytes() == two.values.tobytes()
+        else:
+            one, two = (aliasing_mask(BLOCK_PLANAR, BLOCK_RX, BLOCK_SCENE, WAVE, BLOCK_GRID,
+                                      threads=threads) for threads in (1, 2))
+            assert ([(layer.array_label, layer.axis_index) for layer in one.layers]
+                    == [(layer.array_label, layer.axis_index) for layer in two.layers]
+                    == [("tx", 0), ("tx", 1), ("rx", 0), ("rx", 1)])
+            for a, b in zip(one.layers, two.layers):
+                np.testing.assert_array_equal(a.free, b.free)
+                assert 0 < a.free.sum() < a.free.size
+        np.testing.assert_array_equal(one.excluded, two.excluded)
+        assert one.excluded.any()
 
     def test_partial_image_matches_point_evaluator_bitwise(self):
         field = partial_image(BLOCK_TX, BLOCK_SCENE, WAVE, BLOCK_GRID, threads=2)
@@ -540,7 +570,43 @@ def _long_double_chirp_sum(elements, d_s, wavelength, points):
     return acc[0].astype(float) + 1j * acc[1].astype(float)
 
 
+# Lattices of 1, 2 and 3 axes whose element counts (11, 20, 60) leave a
+# partial last batch at widths 3 and 8; 1D, 2D and 3D space.
+BATCH_LATTICES = {
+    "linear_1d": (build_uniform_array([-3.0], [[1]], [11], [0.7], "transmit"), [40.0]),
+    "planar_2d": (build_uniform_array([-10.0, 0.0], [[0.6, 0.8], [-0.8, 0.6]], [5, 4],
+                                      [1.3, 0.9], "transmit"), [25.0, 30.0]),
+    "volume_3d": (build_uniform_array([-20.0, -15.0, 0.0], [[1, 0, 0], [0, 0.6, 0.8],
+                                                            [0, -0.8, 0.6]],
+                                      [5, 4, 3], [3.1, 2.7, 1.9], "receive"),
+                  [40.0, 200.0, 150.0]),
+}
+
+
+def _batch_case_points(array, scatterer, count, seed):
+    """`count` random points around the array and the scatterer, then the
+    first three elements (non-finite terms) and the scatterer itself."""
+    rng = np.random.default_rng(seed)
+    elements = array.element_positions()
+    lo = np.minimum(elements.min(axis=0), scatterer) - 30.0
+    hi = np.maximum(elements.max(axis=0), scatterer) + 30.0
+    return np.vstack([rng.uniform(lo, hi, (count, array.ndim)), elements[:3], [scatterer]])
+
+
 class TestChirpSum:
+    @pytest.mark.parametrize("case", sorted(BATCH_LATTICES))
+    def test_batch_width_keeps_every_bit(self, case):
+        arr, scatterer = BATCH_LATTICES[case]
+        elements, d_s, _ = _scatterer_distances(arr, np.asarray(scatterer), 0.1)
+        # 1001 points put each row's last values in the tail of the
+        # elementwise loops, and the next row's first values beside them.
+        points = _batch_case_points(arr, np.asarray(scatterer), 997, 53)
+        one = _chirp_sum(elements, d_s, WAVE.wavelength, points, 1)
+        assert not np.all(np.isfinite(one)) and np.isfinite(one[:997]).all()
+        for batch in (3, 8, len(elements) + 5):
+            got = _chirp_sum(elements, d_s, WAVE.wavelength, points, batch)
+            assert got.tobytes() == one.tobytes(), batch
+
     @pytest.mark.parametrize("case", ["fig1_block", "planar_3d"])
     def test_against_long_double_reference(self, case):
         if case == "fig1_block":

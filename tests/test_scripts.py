@@ -1,5 +1,6 @@
 """Smoke tests for the reproduction scripts under scripts/."""
 
+import json
 import os
 import runpy
 import subprocess
@@ -63,3 +64,20 @@ def test_check_float_format_flags_a_mismatch(monkeypatch, capsys):
     monkeypatch.setitem(main.__globals__, "_write_pairs_csv", off_by_one_digit)
     assert main(["--values", "3", "--seed", "1"]) == 1
     assert "mismatching rows: 1" in capsys.readouterr().out
+
+
+def test_kernel_threads_smoke():
+    # 91 x 91 cells make two blocks, so the 2-thread calls run two workers.
+    result = run_script("kernel_threads.py", "--workload", "planar_sweep", "--rounds", "1",
+                        "--resolution", "91")
+    assert result.returncode == 0, result.stdout + result.stderr
+    report = json.loads(result.stdout)
+    assert set(report["geometries"]) == {"1d", "2d"}
+    assert report["geometries"]["2d"]["elements"] == {"tx": 1024, "rx": 1024}
+    for geometry in report["geometries"].values():
+        assert geometry["cells"] == 91 * 91
+        for kernel in ("partial_image", "aliasing_mask"):
+            assert geometry[kernel]["identical"] is True
+            for threads in ("threads_1", "threads_2"):
+                times = geometry[kernel][threads]
+                assert 0 < times["q1"] <= times["median"] <= times["q3"]

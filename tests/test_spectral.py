@@ -59,6 +59,15 @@ class TestSampleChirp:
         with pytest.raises(GeometryError):
             sample_chirp_along_axis(arr, [60.0, 40.0], [50.0, -20.0], WAVE, 1, 4)
 
+    @pytest.mark.parametrize("axis_index", [-1, 2, True])
+    def test_axis_index_outside_lattice_rejected(self, axis_index):
+        # -1 used to sample a line shifted to the middle of the last axis, and
+        # 2 raised IndexError.
+        arr = build_uniform_array([0.0, 0.0], [[1, 0], [0, 1]], [4, 5], [1.0, 1.0],
+                                  "transmit")
+        with pytest.raises(GeometryError, match="axis_index"):
+            sample_chirp_along_axis(arr, [60.0, 40.0], [50.0, -20.0], WAVE, axis_index, 1)
+
     def test_bad_oversample_rejected(self):
         for oversample in (0, 2.5):
             with pytest.raises(GeometryError):
