@@ -117,13 +117,22 @@ def _fold_axis(best: np.ndarray, e_u, c_u: np.ndarray, dt: np.ndarray, pu_e,
     np.maximum(best, np.abs(k_axis, out=k_axis), out=best)
 
 
-def _kmax_layers(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
+def _within_bound(k: float, kmax, spacing: float):
+    """k * kmax <= 2 pi / spacing: the aliasing-free test of one lattice axis,
+    for the mask layers and for the line kernel's early decision alike.
+    Equality counts as free."""
+    return k * kmax <= 2.0 * np.pi / spacing
+
+
+def _kmax_layers(array: ArrayGeometry, scatterer: np.ndarray, eps: float, wavenumber=None):
     """Sampled lattice axes and a kernel(cells) -> max |k_axis| / k per sampled
     axis.
 
     Exhaustive reference kernel for _kmax_lines: loops over elements
     (vectorized over cells) so each element's distance field is shared by all
-    axis projections.
+    axis projections. wavenumber is accepted and ignored, like the kernel's
+    batch, so that this can stand in for _kmax_lines: every cell gets its
+    exact maximum.
     """
     elements, axes_idx, units, pu = _element_terms(array, scatterer, eps)
 
@@ -200,8 +209,8 @@ def _line_roots(u_t: np.ndarray, w: np.ndarray, u_s, b, rs2, h2: np.ndarray, a: 
     return a, qc
 
 
-def _kmax_lines(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
-    """Same result as _kmax_layers from a few candidate elements per lattice line.
+def _kmax_lines(array: ArrayGeometry, scatterer: np.ndarray, eps: float, wavenumber=None):
+    """max |k_axis| / k per sampled axis from a few candidate elements per lattice line.
 
     On a line through element 0 at o with unit u, an element at line
     coordinate x gives f(x) = (x - u_t)/r_t - (x - u_s)/r_s, where u_t, u_s
@@ -213,10 +222,20 @@ def _kmax_lines(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
     the line (h_t = 0) turns the quadratic into a double root at u_t, where f
     jumps, so it needs no extra candidate.
 
+    Each axis runs in two phases. The end elements of every line come first.
+    A cell whose running maximum m then fails _within_bound(wavenumber, m, d)
+    is aliased on the axis whatever the other candidates give, so the roots
+    and their neighbours are evaluated only for the cells still within the
+    bound: a compact gather of them when they are fewer than half the block,
+    the whole block otherwise. Those cells get the same maximum as
+    _kmax_layers; the others keep m, or get that maximum too when the whole
+    block is refined. Without a wavenumber every cell is refined.
+
     The kernel, kernel(cells, batch=1), evaluates the lines of one axis
     `batch` at a time as (batch, n) arrays in preallocated buffers, and folds
     each line's candidates into its own row of a (batch, n) running maximum;
-    np.maximum is exact and order-free, so no bit depends on the batch width.
+    np.maximum is exact and order-free, so no bit depends on the batch width
+    or on the phase a candidate is folded in.
     """
     elements, axes_idx, units, pu = _element_terms(array, scatterer, eps)
     # Element by element, as _kmax_layers computes it, so the bits match.
@@ -259,17 +278,38 @@ def _kmax_lines(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
             for (ja, u, perp, stride, count, d,
                  first, o_u, o_v, u_s, b, rs2) in axis_lines:
                 c_u = c @ u
-                c_v = c @ perp.T
+                batches = [slice(lo, lo + rows) for lo in range(0, len(first), rows)]
+                used = min(rows, len(first))
                 best_buf.fill(0.0)
-                for lo in range(0, len(first), rows):
-                    line = slice(lo, lo + rows)
+                for line in batches:
                     m = len(first[line])
-                    best, g = best_buf[:m], g_buf[:m]
-                    r0, r1, dt, tmp, *free = scratch[:, :m]
+                    dt, tmp = scratch[2:4, :m]
                     for end in (0, count - 1):
                         end_g = first[line] + stride * end
                         dist = _distance([x_i[end_g] for x_i in x], cols, dt, tmp)
-                        _fold_axis(best, eu[ja][end_g], c_u, dist, pu[ja][end_g], tmp)
+                        _fold_axis(best_buf[:m], eu[ja][end_g], c_u, dist, pu[ja][end_g], tmp)
+                kmax = np.maximum.reduce(best_buf[:used], axis=0)
+                bests.append(kmax)
+                pending = (np.ones(n, dtype=bool) if wavenumber is None
+                           else _within_bound(wavenumber, kmax, d))
+                size = int(np.count_nonzero(pending))
+                if not size:
+                    continue
+                if 2 * size < n:
+                    cells = np.flatnonzero(pending)
+                else:
+                    cells, size = slice(None), n
+                # The subset's buffers are the first `size` cells' worth of
+                # the block's, read as (..., size) arrays.
+                sub_best, sub_g, sub_scratch = (
+                    buf.reshape(-1)[:buf[..., 0].size * size].reshape(*buf.shape[:-1], size)
+                    for buf in (best_buf, g_buf, scratch))
+                sub_cols, sub_u, sub_v = cols[:, cells], c_u[cells], (c @ perp.T)[cells]
+                sub_best.fill(0.0)
+                for line in batches:
+                    m = len(first[line])
+                    best, g = sub_best[:m], sub_g[:m]
+                    r0, r1, dt, tmp, *free = sub_scratch[:, :m]
                     # With the scatterer on the line (b = 0), f' = h_t^2/r_t^3
                     # >= 0 apart from the jump at u_s. For cells on the line
                     # too, f = sign(x - u_t) - sign(x - u_s) is 2 in magnitude
@@ -282,11 +322,11 @@ def _kmax_lines(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
                         r0[...] = u_s[line]
                         roots = (r0,)
                     else:
-                        u_t = np.subtract(c_u, o_u[line], out=free[0])
-                        # w (m, n, k) shares the root buffers' memory:
+                        u_t = np.subtract(sub_u, o_u[line], out=free[0])
+                        # w (m, size, k) shares the root buffers' memory:
                         # _line_roots reads w only before it writes a root.
-                        w = scratch[:2].reshape(-1)[:u_t.size * len(perp)]
-                        w = np.subtract(c_v, o_v[line], out=w.reshape(*u_t.shape, len(perp)))
+                        w = sub_scratch[:2].reshape(-1)[:u_t.size * len(perp)]
+                        w = np.subtract(sub_v, o_v[line], out=w.reshape(*u_t.shape, len(perp)))
                         roots = _line_roots(u_t, w, u_s[line], b[line], rs2[line],
                                             free[1], r0, r1, dt)
                         for root in roots:
@@ -304,10 +344,10 @@ def _kmax_lines(array: ArrayGeometry, scatterer: np.ndarray, eps: float):
                             g *= stride
                             g += first[line]
                             coords = [x_i.take(g, out=f, mode="clip") for x_i, f in zip(x, free)]
-                            _distance(coords, cols, dt, tmp)
-                            _fold_axis(best, eu[ja].take(g, out=free[0], mode="clip"), c_u, dt,
-                                       pu[ja].take(g, out=free[1], mode="clip"), tmp)
-                bests.append(np.maximum.reduce(best_buf[:min(rows, len(first))], axis=0))
+                            _distance(coords, sub_cols, dt, tmp)
+                            _fold_axis(best, eu[ja].take(g, out=free[0], mode="clip"), sub_u,
+                                       dt, pu[ja].take(g, out=free[1], mode="clip"), tmp)
+                kmax[cells] = np.maximum(kmax[cells], np.maximum.reduce(sub_best[:used], axis=0))
         return tuple(bests)
 
     return axes_idx, kernel
@@ -323,14 +363,19 @@ def aliasing_mask(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: Wave
     """
     eps = exclusion_radius(wave, epsilon)
     k = wave.wavenumber
-    tx_axes, tx_kmax = _kmax_lines(tx, scene.scatterer, eps)
-    rx_axes, rx_kmax = _kmax_lines(rx, scene.scatterer, eps)
+    tx_axes, tx_kmax = _kmax_lines(tx, scene.scatterer, eps, k)
+    rx_axes, rx_kmax = _kmax_lines(rx, scene.scatterer, eps, k)
+    # Line batches widen the numpy calls only on an axis with more than one
+    # lattice line; with none, a second thread only contends for the
+    # interpreter lock.
+    if not any(a.num_elements > a.counts[j] for a in (tx, rx) for j in a.sampled_axes()):
+        threads = 1
     excluded, *kmaxes = _run_blocks(
         lambda cells, rows: (*tx_kmax(cells, rows), *rx_kmax(cells, rows)),
         (tx, rx), grid, eps, threads, LINE_BATCH)
     layers = []
     sampled = [("tx", tx, j) for j in tx_axes] + [("rx", rx, j) for j in rx_axes]
     for (label, array, j), km in zip(sampled, kmaxes):
-        free = (k * km <= 2.0 * np.pi / array.spacings[j]) & ~excluded
+        free = _within_bound(k, km, array.spacings[j]) & ~excluded
         layers.append(MaskLayer(array_label=label, axis_index=j, free=free))
     return AliasingMask(grid=grid, layers=tuple(layers), excluded=excluded)

@@ -242,6 +242,32 @@ def _assert_kernels_agree(array, scatterer, cells):
     return int((~excluded).sum())
 
 
+def _planar_sweep_2d():
+    """The 2d geometry of the planar_sweep benchmark: 32 x 32 planes over 500
+    wavelengths centered at (500, 0) and (0, 500), scatterer (500, 500), on a
+    64 x 64 grid over [0, 1000]^2 (the benchmark has 255 x 255). A quarter of
+    these cells lie on elements and are excluded."""
+    s = 500.0 / 32
+    tx = build_uniform_array([500.0 - 15.5 * s, -15.5 * s], [[1, 0], [0, 1]], [32, 32], [s, s],
+                             "transmit")
+    rx = build_uniform_array([15.5 * s, 500.0 - 15.5 * s], [[0, 1], [-1, 0]], [32, 32], [s, s],
+                             "receive")
+    return tx, rx, Scene([500.0, 500.0]), EvalGrid([0.0, 0.0], [1000.0, 1000.0], (64, 64))
+
+
+def _spy_line_roots(monkeypatch) -> list:
+    """Record u_t.size, the line-cell pairs, of every _line_roots call."""
+    cells = []
+    line_roots = chirp._line_roots
+
+    def spy(u_t, *args):
+        cells.append(u_t.size)
+        return line_roots(u_t, *args)
+
+    monkeypatch.setattr(chirp, "_line_roots", spy)
+    return cells
+
+
 class TestLineKernel:
     def test_random_linear_arrays(self):
         rng = np.random.default_rng(41)
@@ -344,9 +370,11 @@ class TestLineKernel:
             rng.integers(0, arr.n_axes, 300)]
         return np.vstack([rng.uniform(lo, hi, (700, arr.ndim)), on_lines, elements[:3]])
 
-    @pytest.mark.parametrize("case", ["fig1", "long_array", "short_arrays"])
+    @pytest.mark.parametrize("case", ["fig1", "long_array", "short_arrays", "planar"])
     def test_mask_bit_identical_to_exhaustive(self, case, monkeypatch):
-        if case == "fig1":
+        if case == "planar":
+            tx, rx, scene, grid = _planar_sweep_2d()
+        elif case == "fig1":
             tx, rx, scene = FIG1_TX, FIG1_RX, FIG1_SCENE
             grid = EvalGrid([150.0, 150.0], [1850.0, 1850.0], (255, 255))
         elif case == "long_array":
@@ -371,3 +399,54 @@ class TestLineKernel:
             np.testing.assert_array_equal(layer.free, ref.free)
         np.testing.assert_array_equal(mask.combined, reference.combined)
         assert 0 < mask.combined.sum() < mask.combined.size
+
+    def test_early_decision_spares_the_roots(self, monkeypatch):
+        # On a plane the two end elements of the lines already put almost
+        # every aliased cell past the bound; only the others reach the roots.
+        tx, rx, scene, grid = _planar_sweep_2d()
+        cells = _spy_line_roots(monkeypatch)
+        aliasing_mask(tx, rx, scene, WAVE, grid)
+        line_cells = (32 + 32) * 2 * grid.num_cells  # every line, every cell
+        assert 0 < sum(cells) < 0.02 * line_cells
+
+    def test_tie_at_the_bound_is_refined(self, monkeypatch):
+        # A cell whose maximum over the line ends m meets the bound exactly,
+        # k m == 2 pi / d, while an interior element gives more. Equality is
+        # free, so the cell stays undecided and refinement finds it aliased.
+        d = 1.5
+        tx = build_uniform_array([0.0, 0.0], [[1, 0]], [40], [d], "transmit")
+        rx = build_uniform_array([-30.0, -30.0], [[0, 1]], [1], [1.0], "receive")
+        scene = Scene([30.0, 25.0])
+        grid = EvalGrid([-20.0, 5.0], [80.0, 60.0], (24, 20))
+        cells = grid.cell_centers()
+        # An infinite wavenumber decides every cell after the ends.
+        (ends,) = chirp._kmax_lines(tx, scene.scatterer, 0.1, np.inf)[1](cells)
+        (exact,) = chirp._kmax_layers(tx, scene.scatterer, 0.1)[1](cells)
+        interior = np.flatnonzero(exact > ends)
+        tie = interior[np.argsort(ends[interior], kind="stable")[len(interior) // 4]]
+        bound = 2.0 * np.pi / d
+        wavelength = ends[tie] * d
+        for _ in range(64):
+            k = WaveParams(wavelength).wavenumber
+            if k * ends[tie] == bound:
+                break
+            wavelength = np.nextafter(wavelength, np.inf if k * ends[tie] > bound else 0.0)
+        assert k * ends[tie] == bound
+
+        roots = _spy_line_roots(monkeypatch)
+        (kmax,) = chirp._kmax_lines(tx, scene.scatterer, 0.1, k)[1](cells)
+        undecided = k * ends <= bound
+        assert undecided[tie] and 0 < undecided.sum() < len(cells) / 2
+        # One line, so one gather of the undecided cells reaches the roots.
+        assert roots == [undecided.sum()]
+        assert kmax[undecided].tobytes() == exact[undecided].tobytes()
+        assert kmax[~undecided].tobytes() == ends[~undecided].tobytes()
+        assert k * kmax[tie] > bound
+
+        wave = WaveParams(wavelength)
+        mask = aliasing_mask(tx, rx, scene, wave, grid, epsilon=0.1)
+        monkeypatch.setattr(chirp, "_kmax_lines", chirp._kmax_layers)
+        reference = aliasing_mask(tx, rx, scene, wave, grid, epsilon=0.1)
+        (layer,), (ref,) = mask.layers, reference.layers
+        np.testing.assert_array_equal(layer.free, ref.free)
+        assert not layer.free.flat[tie] and layer.free.any()

@@ -407,6 +407,28 @@ class TestBlocks:
         assert widths == ({1} if workers is None else {5})
         assert ones.shape == BLOCK_GRID.resolution and ones.all()
 
+    @pytest.mark.parametrize("tx, pools", [
+        (BLOCK_TX, []),
+        # A second axis of one element samples nothing and adds no line.
+        (build_uniform_array([-10.0, 0.0], [[1, 0], [0, 1]], [12, 1], [1.7, 1.1], "transmit"),
+         []),
+        (BLOCK_PLANAR, [2]),
+    ])
+    def test_mask_runs_one_worker_unless_an_axis_has_lines_to_batch(self, monkeypatch, tx,
+                                                                    pools):
+        started = []
+        executor = imaging.ThreadPoolExecutor
+
+        def recording(max_workers):
+            started.append(max_workers)
+            return executor(max_workers=max_workers)
+
+        monkeypatch.setattr(imaging, "ThreadPoolExecutor", recording)
+        rx = build_uniform_array([0.0, -10.0], [[0.6, 0.8]], [9], [1.3], "receive")
+        mask = aliasing_mask(tx, rx, BLOCK_SCENE, WAVE, BLOCK_GRID, threads=2)
+        assert started == pools
+        assert 0 < mask.combined.sum() < mask.combined.size
+
     @pytest.mark.parametrize("name", ["partial_image", "aliasing_mask"])
     def test_planar_array_threads_bit_identical(self, name):
         # A planar array has several lattice lines per axis, so that the mask's
