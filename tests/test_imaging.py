@@ -370,6 +370,19 @@ BLOCK_KERNELS = {
 }
 
 
+def _record_pools(monkeypatch) -> list:
+    """Record the max_workers of every thread pool _run_blocks starts."""
+    pools = []
+    executor = imaging.ThreadPoolExecutor
+
+    def recording(max_workers):
+        pools.append(max_workers)
+        return executor(max_workers=max_workers)
+
+    monkeypatch.setattr(imaging, "ThreadPoolExecutor", recording)
+    return pools
+
+
 class TestBlocks:
     def test_grid_ends_in_a_partial_block(self):
         assert BLOCK_GRID.num_cells == 2 * CELL_BLOCK + 7
@@ -387,14 +400,7 @@ class TestBlocks:
 
     @pytest.mark.parametrize("threads, workers", [(1, None), (2, 2), (8, 3)])
     def test_no_more_workers_than_blocks(self, monkeypatch, threads, workers):
-        pools = []
-        executor = imaging.ThreadPoolExecutor
-
-        def recording(max_workers):
-            pools.append(max_workers)
-            return executor(max_workers=max_workers)
-
-        monkeypatch.setattr(imaging, "ThreadPoolExecutor", recording)
+        pools = _record_pools(monkeypatch)
         widths = set()
 
         def kernel(cells, rows):
@@ -416,14 +422,7 @@ class TestBlocks:
     ])
     def test_mask_runs_one_worker_unless_an_axis_has_lines_to_batch(self, monkeypatch, tx,
                                                                     pools):
-        started = []
-        executor = imaging.ThreadPoolExecutor
-
-        def recording(max_workers):
-            started.append(max_workers)
-            return executor(max_workers=max_workers)
-
-        monkeypatch.setattr(imaging, "ThreadPoolExecutor", recording)
+        started = _record_pools(monkeypatch)
         rx = build_uniform_array([0.0, -10.0], [[0.6, 0.8]], [9], [1.3], "receive")
         mask = aliasing_mask(tx, rx, BLOCK_SCENE, WAVE, BLOCK_GRID, threads=2)
         assert started == pools
