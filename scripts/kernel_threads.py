@@ -97,8 +97,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error(f"--rounds must be at least 1, got {args.rounds}")
-    if args.resolution is not None and args.resolution < 1:
-        parser.error(f"--resolution must be at least 1, got {args.resolution}")
+    if args.resolution is not None and args.resolution < 2:
+        # An evaluation grid needs at least 2 cells per axis.
+        parser.error(f"--resolution must be at least 2, got {args.resolution}")
 
     report = {"workload": args.workload, "seed": args.seed, "rounds": args.rounds,
               "cpus": default_threads(), "python": platform.python_version(),

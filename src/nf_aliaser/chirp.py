@@ -20,10 +20,9 @@ from .wavefield import _checked_distance, exclusion_radius
 
 AliasingVerdict = namedtuple("AliasingVerdict", ["per_axis", "ok"])
 
-# Lattice lines per batch of the line kernel when blocks run on more than one
-# thread (see imaging.ELEMENT_BATCH). Each thread holds eight (nine in 3D)
-# (batch, block) buffers; on a 32 x 32 plane, 4 lines ran the mask about 18%
-# faster than 3.
+# Lattice lines per batch of the line kernel (see imaging.ELEMENT_BATCH). Each
+# thread holds eight (nine in 3D) (batch, block) buffers; on a 32 x 32 plane,
+# 4 lines ran the mask about 18% faster than 3.
 LINE_BATCH = 4
 
 
@@ -130,15 +129,12 @@ def _kmax_layers(array: ArrayGeometry, scatterer: np.ndarray, eps: float, wavenu
 
     Exhaustive reference kernel for _kmax_lines: loops over elements
     (vectorized over cells) so each element's distance field is shared by all
-    axis projections. wavenumber is accepted and ignored, like the kernel's
-    batch, so that this can stand in for _kmax_lines: every cell gets its
-    exact maximum.
+    axis projections. wavenumber is accepted and ignored, so that this can
+    stand in for _kmax_lines: every cell gets its exact maximum.
     """
     elements, axes_idx, units, pu = _element_terms(array, scatterer, eps)
 
-    def kernel(cells: np.ndarray, batch: int = 1) -> tuple:
-        # batch lets this kernel stand in for _kmax_lines'; it always
-        # evaluates one element at a time.
+    def kernel(cells: np.ndarray) -> tuple:
         cols, dt, tmp = _block_columns(cells)
         c_u = [cells @ u for u in units]
         best = [np.zeros(len(cells)) for _ in units]
@@ -231,8 +227,8 @@ def _kmax_lines(array: ArrayGeometry, scatterer: np.ndarray, eps: float, wavenum
     _kmax_layers; the others keep m, or get that maximum too when the whole
     block is refined. Without a wavenumber every cell is refined.
 
-    The kernel, kernel(cells, batch=1), evaluates the lines of one axis
-    `batch` at a time as (batch, n) arrays in preallocated buffers, and folds
+    The kernel, kernel(cells, batch=LINE_BATCH), evaluates the lines of one
+    axis `batch` at a time as (batch, n) arrays in preallocated buffers, and folds
     each line's candidates into its own row of a (batch, n) running maximum;
     np.maximum is exact and order-free, so no bit depends on the batch width
     or on the phase a candidate is folded in.
@@ -264,7 +260,7 @@ def _kmax_lines(array: ArrayGeometry, scatterer: np.ndarray, eps: float, wavenum
 
     x = np.ascontiguousarray(elements.T)
 
-    def kernel(c: np.ndarray, batch: int = 1) -> tuple:
+    def kernel(c: np.ndarray, batch: int = LINE_BATCH) -> tuple:
         n = len(c)
         cols = np.ascontiguousarray(c.T)
         rows = min(batch, most_lines)
@@ -310,27 +306,23 @@ def _kmax_lines(array: ArrayGeometry, scatterer: np.ndarray, eps: float, wavenum
                     m = len(first[line])
                     best, g = sub_best[:m], sub_g[:m]
                     r0, r1, dt, tmp, *free = sub_scratch[:, :m]
+                    u_t = np.subtract(sub_u, o_u[line], out=free[0])
+                    # w (m, size, k) shares the root buffers' memory:
+                    # _line_roots reads w only before it writes a root.
+                    w = sub_scratch[:2].reshape(-1)[:u_t.size * len(perp)]
+                    w = np.subtract(sub_v, o_v[line], out=w.reshape(*u_t.shape, len(perp)))
+                    roots = _line_roots(u_t, w, u_s[line], b[line], rs2[line],
+                                        free[1], r0, r1, dt)
                     # With the scatterer on the line (b = 0), f' = h_t^2/r_t^3
                     # >= 0 apart from the jump at u_s. For cells on the line
                     # too, f = sign(x - u_t) - sign(x - u_s) is 2 in magnitude
                     # exactly when an element lies between u_t and u_s, and
-                    # then the neighbour of u_s toward u_t does. A batch that
-                    # mixes both kinds of line gives its b = 0 lines u_s as
-                    # both roots: a repeated candidate leaves the max as it is.
+                    # then the neighbour of u_s toward u_t does. Such a line
+                    # takes u_s as both roots: a repeated candidate leaves the
+                    # max as it is.
                     on_line = ~(b[line] > 0.0)
-                    if on_line.all():
-                        r0[...] = u_s[line]
-                        roots = (r0,)
-                    else:
-                        u_t = np.subtract(sub_u, o_u[line], out=free[0])
-                        # w (m, size, k) shares the root buffers' memory:
-                        # _line_roots reads w only before it writes a root.
-                        w = sub_scratch[:2].reshape(-1)[:u_t.size * len(perp)]
-                        w = np.subtract(sub_v, o_v[line], out=w.reshape(*u_t.shape, len(perp)))
-                        roots = _line_roots(u_t, w, u_s[line], b[line], rs2[line],
-                                            free[1], r0, r1, dt)
-                        for root in roots:
-                            np.copyto(root, u_s[line], where=on_line)
+                    for root in roots:
+                        np.copyto(root, u_s[line], where=on_line)
                     for root in roots:
                         # fmax/fmin map nan to -1 and clamp +-inf: a root that
                         # does not exist lands on an end element. root keeps
@@ -370,9 +362,8 @@ def aliasing_mask(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: Wave
     # interpreter lock.
     if not any(a.num_elements > a.counts[j] for a in (tx, rx) for j in a.sampled_axes()):
         threads = 1
-    excluded, *kmaxes = _run_blocks(
-        lambda cells, rows: (*tx_kmax(cells, rows), *rx_kmax(cells, rows)),
-        (tx, rx), grid, eps, threads, LINE_BATCH)
+    excluded, *kmaxes = _run_blocks(lambda cells: (*tx_kmax(cells), *rx_kmax(cells)),
+                                    (tx, rx), grid, eps, threads)
     layers = []
     sampled = [("tx", tx, j) for j in tx_axes] + [("rx", rx, j) for j in rx_axes]
     for (label, array, j), km in zip(sampled, kmaxes):

@@ -57,9 +57,17 @@ def _converter(convert, expected: str):
     return parse
 
 
-_number = _converter(float, "a number")
-_numbers = _converter(lambda v: [float(x) for x in np.atleast_1d(v)], "numbers")
-_vectors = _converter(lambda v: [[float(x) for x in row] for row in v],
+def _real(value) -> float:
+    """float(value) for a number; a boolean or a string raises TypeError, so
+    that true and "1.5" are refused instead of becoming 1.0 and 1.5."""
+    if isinstance(value, (bool, np.bool_, str)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
+_number = _converter(_real, "a number")
+_numbers = _converter(lambda v: [_real(x) for x in (v if np.ndim(v) else [v])], "numbers")
+_vectors = _converter(lambda v: [[_real(x) for x in row] for row in v],
                       "a list of direction vectors")
 
 

@@ -260,6 +260,7 @@ class EvalGrid:
         p, _ = same_dimension(point, self.corner_min, "cell_index")
         if not np.all(np.isfinite(p)):
             raise GridError(f"cell_index: point must be finite, got {p}")
-        idx = np.floor((p - self.corner_min) / self.cell_sizes).astype(int)
-        idx = np.clip(idx, 0, np.asarray(self.resolution) - 1)
+        # Clipped as floats: a far point would overflow the integer cast.
+        idx = np.floor((p - self.corner_min) / self.cell_sizes)
+        idx = np.clip(idx, 0, np.asarray(self.resolution) - 1).astype(int)
         return tuple(int(i) for i in idx)

@@ -2,9 +2,8 @@
 
 Per-cell sums run in fixed lattice-element order (sequential accumulation), so
 results are bit-identical no matter how the cell loop is chunked or threaded.
-When blocks run on more than one thread, the chirp sum evaluates its elements
-in batches and adds each batch's rows in element order, so no bit depends on
-the batch width either.
+The chirp sum evaluates its elements in batches and adds each batch's rows in
+element order, so no bit depends on the batch width either.
 """
 
 from __future__ import annotations
@@ -24,11 +23,10 @@ from .wavefield import _checked_distance, exclusion_radius
 # so the decomposition (and the output bits) do not depend on the thread count.
 CELL_BLOCK = 8192
 
-# Elements per batch of the chirp sum when blocks run on more than one thread.
-# One element per numpy call spends the time in call dispatch, which holds the
-# interpreter lock; on one thread batches only cost memory traffic. Each
-# thread holds three (batch, block) float buffers; at 8 elements the
-# planar_sweep benchmark's peak RSS reached its 10% bound.
+# Elements per batch of the chirp sum. One element per numpy call spends the
+# time in call dispatch, which also holds the interpreter lock that threads
+# share. Each thread holds three (batch, block) float buffers; at 8 elements
+# the planar_sweep benchmark's peak RSS reached its 10% bound.
 ELEMENT_BATCH = 6
 
 
@@ -54,18 +52,15 @@ class ComplexField:
     scatterer: tuple | None = None
 
 
-def _run_blocks(kernel, arrays, grid: EvalGrid, eps: float, threads: int,
-                batch: int = 1) -> tuple:
-    """Apply kernel(cells, rows) -> tuple of per-cell arrays to the whole grid.
+def _run_blocks(kernel, arrays, grid: EvalGrid, eps: float, threads: int) -> tuple:
+    """Apply kernel(cells) -> tuple of per-cell arrays to the whole grid.
 
     Raises GridError before any block runs unless the grid shares each
     array's dimensionality. The grid is cut into row-major blocks of
     CELL_BLOCK cells whose centers are generated when the block runs, so
     memory for centers does not grow with the grid. Blocks run on
-    min(threads, number of blocks) threads; rows, the kernel's batch width,
-    is batch on more than one thread and 1 otherwise. Returns, shaped like
-    the grid, the flags of cells within eps of an element, then each kernel
-    output.
+    min(threads, number of blocks) threads. Returns, shaped like the grid,
+    the flags of cells within eps of an element, then each kernel output.
     """
     for a in arrays:
         same_dimension(grid.corner_min, a.origin, f"grid and {a.role_tag} array")
@@ -80,12 +75,11 @@ def _run_blocks(kernel, arrays, grid: EvalGrid, eps: float, threads: int,
     # 2 threads (planar_sweep benchmark).
     starts = range(0, n, CELL_BLOCK)
     workers = min(threads, len(starts))
-    rows = batch if workers > 1 else 1
 
     def block(start: int) -> None:
         stop = min(start + CELL_BLOCK, n)
         cells = grid.cell_centers(start, stop)
-        part = kernel(cells, rows)
+        part = kernel(cells)
         excluded[start:stop] = nearest(cells) <= eps
         with lock:
             if not outputs:
@@ -158,7 +152,7 @@ def _nearest_distance(arrays):
 
 
 def _chirp_sum(elements: np.ndarray, d_s: np.ndarray, wavelength: float, points: np.ndarray,
-               batch: int = 1):
+               batch: int = ELEMENT_BATCH):
     """Partial-image chirp sum of exp(jk(dt - ds)) / (dt ds) at each point.
 
     The phase is taken in turns, w = (dt - ds) / wavelength, less its nearest
@@ -206,11 +200,10 @@ def _chirp_sum(elements: np.ndarray, d_s: np.ndarray, wavelength: float, points:
 
 
 def _field(kernel, arrays, grid: EvalGrid, eps: float, scatterer: np.ndarray,
-           threads: int, batch: int = 1) -> ComplexField:
-    """kernel(cells, rows) -> values over the grid, with _run_blocks' rows;
-    cells within eps of an element are zeroed and flagged."""
-    excluded, values = _run_blocks(lambda cells, rows: (kernel(cells, rows),), arrays, grid,
-                                   eps, threads, batch)
+           threads: int) -> ComplexField:
+    """kernel(cells) -> values over the grid; cells within eps of an element
+    are zeroed and flagged."""
+    excluded, values = _run_blocks(lambda cells: (kernel(cells),), arrays, grid, eps, threads)
     if excluded.all():
         raise GridError("every grid cell lies within the exclusion radius of an element")
     values[excluded] = 0.0
@@ -248,8 +241,8 @@ def partial_image(array: ArrayGeometry, scene: Scene, wave: WaveParams, grid: Ev
     """
     eps = exclusion_radius(wave, epsilon)
     elements, d_s, _ = _scatterer_distances(array, scene.scatterer, eps)
-    return _field(lambda cells, rows: _chirp_sum(elements, d_s, wave.wavelength, cells, rows),
-                  (array,), grid, eps, scene.scatterer, threads, ELEMENT_BATCH)
+    return _field(lambda cells: _chirp_sum(elements, d_s, wave.wavelength, cells),
+                  (array,), grid, eps, scene.scatterer, threads)
 
 
 def bistatic_image(tx_field: ComplexField, rx_field: ComplexField,
@@ -302,7 +295,7 @@ def direct_image(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: WaveP
                     acc += u * (np.exp(1j * k * dr) / dr) * czt[it]
         return acc
 
-    return _field(lambda cells, _: kernel(cells), (tx, rx), grid, eps, scene.scatterer, threads)
+    return _field(kernel, (tx, rx), grid, eps, scene.scatterer, threads)
 
 
 def magnitude_db(field_: ComplexField, floor_db: float) -> np.ndarray:

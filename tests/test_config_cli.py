@@ -119,6 +119,23 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=rf"{section}\.{key}: expected an integer"):
             resolve_config(cfg)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("wave", "lambda", True),
+        ("wave", "lambda", "1.5"),
+        ("scene", "scatterer", [True, 40.0]),
+        ("scene", "scatterer", "40"),
+        ("scene", "reflectivity_im", False),
+        ("grid", "min", ["30", 30.0]),
+        ("tx", "spacings_lambda", [True]),
+        ("rx", "axes", [[0.0, "1"]]),
+        ("thresholds", "epsilon_lambda", "0.1"),
+    ])
+    def test_boolean_and_string_numbers_rejected(self, section, key, value):
+        cfg = small_config(thresholds={})
+        cfg[section][key] = value
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: expected "):
+            resolve_config(cfg)
+
     def test_whole_float_counts_accepted(self):
         cfg = small_config(thresholds={"oversample": 4.0})
         cfg["tx"]["counts"] = [8.0]

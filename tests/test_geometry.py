@@ -216,6 +216,14 @@ class TestEvalGrid:
         # exactly on the outer corner clips into the last cell
         assert grid.cell_index([10.0, 10.0]) == (4, 4)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("point, index", [([1e300, 5.0], (4, 2)),
+                                              ([5.0, -1e300], (2, 0)),
+                                              ([-1.7e308, 1.7e308], (0, 4))])
+    def test_cell_index_far_point_clips_to_its_edge(self, point, index):
+        grid = EvalGrid([0.0, 0.0], [10.0, 10.0], (5, 5))
+        assert grid.cell_index(point) == index
+
     @pytest.mark.parametrize("point", [[15.0], [15.0, 15.0, 15.0], 15.0])
     def test_cell_index_dimension_mismatch(self, point):
         grid = EvalGrid([10.0, 10.0], [20.0, 20.0], (4, 4))

@@ -24,8 +24,10 @@ from nf_aliaser import (
 )
 from nf_aliaser import chirp, imaging
 from nf_aliaser.geometry import min_element_distance
+from nf_aliaser.chirp import LINE_BATCH
 from nf_aliaser.imaging import (
     CELL_BLOCK,
+    ELEMENT_BATCH,
     _chirp_sum,
     _distance,
     _nearest_distance,
@@ -401,16 +403,9 @@ class TestBlocks:
     @pytest.mark.parametrize("threads, workers", [(1, None), (2, 2), (8, 3)])
     def test_no_more_workers_than_blocks(self, monkeypatch, threads, workers):
         pools = _record_pools(monkeypatch)
-        widths = set()
-
-        def kernel(cells, rows):
-            widths.add(rows)
-            return (np.ones(len(cells)),)
-
-        _, ones = _run_blocks(kernel, (BLOCK_TX,), BLOCK_GRID, 0.1, threads, batch=5)
+        _, ones = _run_blocks(lambda cells: (np.ones(len(cells)),), (BLOCK_TX,), BLOCK_GRID,
+                              0.1, threads)
         assert pools == ([] if workers is None else [workers])
-        # Batches only where blocks run on more than one thread.
-        assert widths == ({1} if workers is None else {5})
         assert ones.shape == BLOCK_GRID.resolution and ones.all()
 
     @pytest.mark.parametrize("tx, pools", [
@@ -427,6 +422,26 @@ class TestBlocks:
         mask = aliasing_mask(tx, rx, BLOCK_SCENE, WAVE, BLOCK_GRID, threads=2)
         assert started == pools
         assert 0 < mask.combined.sum() < mask.combined.size
+
+    @pytest.mark.parametrize("name, rows", [("partial_image", ELEMENT_BATCH),
+                                            ("aliasing_mask", LINE_BATCH)])
+    def test_one_thread_fills_batches(self, monkeypatch, name, rows):
+        # The kernels batch at every thread count: one thread fills the same
+        # (batch, block) buffers as several.
+        shapes = set()
+
+        def recording(e, cols, out, tmp):
+            shapes.add(out.shape)
+            return _distance(e, cols, out, tmp)
+
+        monkeypatch.setattr(imaging, "_distance", recording)
+        monkeypatch.setattr(chirp, "_distance", recording)
+        if name == "partial_image":
+            partial_image(BLOCK_PLANAR, BLOCK_SCENE, WAVE, BLOCK_GRID, threads=1)
+        else:
+            aliasing_mask(BLOCK_PLANAR, BLOCK_RX, BLOCK_SCENE, WAVE, BLOCK_GRID, threads=1)
+        assert (rows, CELL_BLOCK) in shapes
+        assert max(shape[0] for shape in shapes if len(shape) == 2) == rows
 
     @pytest.mark.parametrize("name", ["partial_image", "aliasing_mask"])
     def test_planar_array_threads_bit_identical(self, name):

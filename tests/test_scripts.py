@@ -81,3 +81,10 @@ def test_kernel_threads_smoke():
             for threads in ("threads_1", "threads_2"):
                 times = geometry[kernel][threads]
                 assert 0 < times["q1"] <= times["median"] <= times["q3"]
+
+
+@pytest.mark.parametrize("resolution", ["1", "0"])
+def test_kernel_threads_resolution_below_two_rejected(resolution):
+    result = run_script("kernel_threads.py", "--rounds", "1", "--resolution", resolution)
+    assert result.returncode == 2
+    assert "--resolution must be at least 2" in result.stderr
