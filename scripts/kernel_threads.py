@@ -7,8 +7,10 @@ array's `partial_image` and the `aliasing_mask` of both arrays at --threads 1
 and 2, alternating which thread count runs first from round to round after
 one untimed warm-up call of each. Prints one JSON object: per geometry,
 kernel and thread count the median and quartiles of the rounds in seconds,
-and whether the two thread counts gave identical values, excluded flags and
-mask layers.
+the median in ns per element-cell (seconds x 1e9 / (elements x cells), the
+elements being the transmit array's for the partial image and both arrays'
+for the mask), and whether the two thread counts gave identical values,
+excluded flags and mask layers.
 
     python scripts/kernel_threads.py --workload planar_sweep --rounds 7
 """
@@ -49,11 +51,14 @@ def geometries(workload: str, seed: int, resolution: int | None) -> dict:
     return result
 
 
+# name -> (call(tx, rx, scene, wave, grid, threads), elements per cell(tx, rx, ...)).
 KERNELS = {
-    "partial_image": lambda tx, rx, scene, wave, grid, threads:
-        partial_image(tx, scene, wave, grid, threads=threads),
-    "aliasing_mask": lambda tx, rx, scene, wave, grid, threads:
-        aliasing_mask(tx, rx, scene, wave, grid, threads=threads),
+    "partial_image": (lambda tx, rx, scene, wave, grid, threads:
+                      partial_image(tx, scene, wave, grid, threads=threads),
+                      lambda tx, rx, *_: tx.num_elements),
+    "aliasing_mask": (lambda tx, rx, scene, wave, grid, threads:
+                      aliasing_mask(tx, rx, scene, wave, grid, threads=threads),
+                      lambda tx, rx, *_: tx.num_elements + rx.num_elements),
 }
 
 
@@ -66,14 +71,16 @@ def _same(a, b) -> bool:
                for x, y in zip(a.layers, b.layers, strict=True))
 
 
-def _quartiles(times: list) -> dict:
+def _quartiles(times: list, element_cells: int) -> dict:
     q1, median, q3 = np.percentile(times, [25, 50, 75])
-    return {"median": round(float(median), 4), "q1": round(float(q1), 4),
-            "q3": round(float(q3), 4)}
+    return {"median": round(float(median), 4),
+            "ns_per_element_cell": round(float(median) * 1e9 / element_cells, 3),
+            "q1": round(float(q1), 4), "q3": round(float(q3), 4)}
 
 
-def time_kernel(call, rounds: int) -> dict:
-    """Medians and quartiles per thread count, and whether the products match."""
+def time_kernel(call, rounds: int, element_cells: int) -> dict:
+    """Medians and quartiles per thread count, the median per element-cell,
+    and whether the products match."""
     first = {threads: call(threads) for threads in THREADS}  # warm-up
     times = {threads: [] for threads in THREADS}
     for r in range(rounds):
@@ -81,7 +88,8 @@ def time_kernel(call, rounds: int) -> dict:
             start = time.perf_counter()
             call(threads)
             times[threads].append(time.perf_counter() - start)
-    result = {f"threads_{threads}": _quartiles(times[threads]) for threads in THREADS}
+    result = {f"threads_{threads}": _quartiles(times[threads], element_cells)
+              for threads in THREADS}
     result["identical"] = _same(*first.values())
     return result
 
@@ -109,8 +117,9 @@ def main(argv=None) -> int:
         report["geometries"][label] = {
             "cells": grid.num_cells,
             "elements": {"tx": geometry[0].num_elements, "rx": geometry[1].num_elements},
-            **{name: time_kernel(lambda threads: kernel(*geometry, threads), args.rounds)
-               for name, kernel in KERNELS.items()},
+            **{name: time_kernel(lambda threads: kernel(*geometry, threads), args.rounds,
+                                 elements(*geometry) * grid.num_cells)
+               for name, (kernel, elements) in KERNELS.items()},
         }
     print(json.dumps(report, indent=1))
     identical = all(k["identical"] for g in report["geometries"].values()

@@ -178,10 +178,10 @@ def _line_roots(u_t: np.ndarray, w: np.ndarray, u_s, b, rs2, h2: np.ndarray, a: 
     the roots in a and qc.
     """
     np.einsum("...j,...j->...", w, w, out=h2)
-    np.cbrt(np.multiply(h2, h2, out=a), out=a)
+    np.cbrt(np.square(h2, out=a), out=a)
     # qc = a rs2 - b (u_t^2 + h2)
     np.multiply(a, rs2, out=qc)
-    np.multiply(u_t, u_t, out=qb)
+    np.square(u_t, out=qb)
     qb += h2
     qb *= b
     qc -= qb
@@ -192,7 +192,7 @@ def _line_roots(u_t: np.ndarray, w: np.ndarray, u_s, b, rs2, h2: np.ndarray, a: 
     qb *= -2.0
     a -= b
     # q = -(qb + sign(qb) sqrt(max(qb^2 - 4 a qc, 0))) / 2, in h2
-    np.multiply(qb, qb, out=h2)
+    np.square(qb, out=h2)
     np.multiply(a, 4.0, out=u_t)
     u_t *= qc
     h2 -= u_t

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams, whole_numbers
+from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams, as_number, whole_numbers
 from .wavefield import EXCLUSION_FACTOR
 
 OUTPUT_KINDS = ("image", "partial_tx", "partial_rx", "mask", "spectrum", "sweep")
@@ -57,17 +57,9 @@ def _converter(convert, expected: str):
     return parse
 
 
-def _real(value) -> float:
-    """float(value) for a number; a boolean or a string raises TypeError, so
-    that true and "1.5" are refused instead of becoming 1.0 and 1.5."""
-    if isinstance(value, (bool, np.bool_, str)):
-        raise TypeError(f"not a number: {value!r}")
-    return float(value)
-
-
-_number = _converter(_real, "a number")
-_numbers = _converter(lambda v: [_real(x) for x in (v if np.ndim(v) else [v])], "numbers")
-_vectors = _converter(lambda v: [[_real(x) for x in row] for row in v],
+_number = _converter(as_number, "a number")
+_numbers = _converter(lambda v: [as_number(x) for x in (v if np.ndim(v) else [v])], "numbers")
+_vectors = _converter(lambda v: [[as_number(x) for x in row] for row in v],
                       "a list of direction vectors")
 
 

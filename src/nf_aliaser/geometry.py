@@ -33,6 +33,14 @@ def same_dimension(a, b, what: str) -> tuple:
     return a, b
 
 
+def as_number(value, kind: type = float):
+    """kind(value) for a number; a boolean or a string raises TypeError, so
+    that True and "1.5" are refused instead of becoming 1.0 and 1.5."""
+    if isinstance(value, (bool, np.bool_, str)):
+        raise TypeError(f"not a number: {value!r}")
+    return kind(value)
+
+
 def whole_numbers(values, error: type, what: str) -> tuple:
     """A number or a list of numbers as a tuple of ints.
 
@@ -56,7 +64,10 @@ class WaveParams:
     wavelength: float
 
     def __post_init__(self):
-        w = float(self.wavelength)
+        try:
+            w = as_number(self.wavelength)
+        except (TypeError, ValueError) as exc:
+            raise GeometryError(f"wavelength must be a number, got {self.wavelength!r}") from exc
         if not np.isfinite(w) or w <= 0.0:
             raise GeometryError(f"wavelength must be positive and finite, got {self.wavelength}")
         object.__setattr__(self, "wavelength", w)
@@ -196,7 +207,10 @@ class Scene:
         pos = _readonly(np.atleast_1d(self.scatterer))
         if pos.ndim != 1 or not 1 <= pos.shape[0] <= 3 or not np.all(np.isfinite(pos)):
             raise GeometryError(f"scatterer must be a finite 1-3 component vector, got {self.scatterer}")
-        refl = complex(self.reflectivity)
+        try:
+            refl = as_number(self.reflectivity, complex)
+        except (TypeError, ValueError) as exc:
+            raise GeometryError(f"reflectivity must be a number, got {self.reflectivity!r}") from exc
         if not np.isfinite(refl):
             raise GeometryError(f"reflectivity must be finite, got {self.reflectivity}")
         object.__setattr__(self, "scatterer", pos)

@@ -25,8 +25,9 @@ CELL_BLOCK = 8192
 
 # Elements per batch of the chirp sum. One element per numpy call spends the
 # time in call dispatch, which also holds the interpreter lock that threads
-# share. Each thread holds three (batch, block) float buffers; at 8 elements
-# the planar_sweep benchmark's peak RSS reached its 10% bound.
+# share. Each thread holds three (batch, block) float buffers plus two
+# block-long float sums; at 8 elements the planar_sweep benchmark's peak RSS
+# reached its 10% bound.
 ELEMENT_BATCH = 6
 
 
@@ -104,10 +105,10 @@ def _distance(e, cols: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarr
     order, ((dx^2 + dy^2) + dz^2); tmp is a scratch buffer of n floats.
     """
     np.subtract(e[0], cols[0], out=out)
-    np.multiply(out, out, out=out)
+    np.square(out, out=out)
     for e_i, c_i in zip(e[1:], cols[1:]):
         np.subtract(e_i, c_i, out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
+        np.square(tmp, out=tmp)
         out += tmp
     return np.sqrt(out, out=out)
 
@@ -160,16 +161,19 @@ def _chirp_sum(elements: np.ndarray, d_s: np.ndarray, wavelength: float, points:
     through the half-angle identities cos 2 pi w = (1 - t^2) / (1 + t^2) and
     sin 2 pi w = 2t / (1 + t^2). Evaluates `batch` elements at a time as
     (batch, n) arrays in three scratch buffers, then adds the batch's terms
-    row by row, so the sums accumulate sequentially in lattice-element order
-    and a point gets the same bits whichever block of points, and whichever
-    batch width, it is evaluated with.
+    row by row into two contiguous n-float sums, so the sums accumulate
+    sequentially in lattice-element order and a point gets the same bits
+    whichever block of points, and whichever batch width, it is evaluated
+    with. The imaginary sum collects t q and is doubled once at the end:
+    scaling by 2 is exact, so that equals the sum of the 2t q terms bit for
+    bit unless a term or partial sum overflows or falls to a subnormal, and
+    neither happens at the magnitudes of a partial image.
     """
     n = len(points)
     cols = np.ascontiguousarray(points.T)
     x = elements.T
     dt_buf, t_buf, q_buf = np.empty((3, min(batch, len(elements)), n))
-    acc = np.zeros(n, dtype=np.complex128)
-    re, im = acc.real, acc.imag
+    re, im = np.zeros((2, n))
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, len(elements), len(dt_buf)):
             hi = min(lo + len(dt_buf), len(elements))
@@ -183,19 +187,21 @@ def _chirp_sum(elements: np.ndarray, d_s: np.ndarray, wavelength: float, points:
             # q = 1 / ((1 + t^2) (dt ds)); t^2 is formed again afterwards in
             # dt, which saves a fourth buffer.
             dt *= ds
-            np.multiply(t, t, out=q)
+            np.square(t, out=q)
             q += 1.0
             q *= dt
             np.divide(1.0, q, out=q)
-            np.multiply(t, t, out=dt)
+            np.square(t, out=dt)
             np.subtract(1.0, dt, out=dt)
             dt *= q
-            t *= 2.0
             t *= q
             for row in dt:
                 re += row
             for row in t:
                 im += row
+        im *= 2.0
+    acc = np.empty(n, dtype=np.complex128)
+    acc.real, acc.imag = re, im
     return acc
 
 

@@ -74,11 +74,16 @@ def spectral_support(samples, spacing: float, threshold_db: float,
 
     support_max is the largest |wavenumber bin| whose magnitude reaches
     peak * 10^(threshold_db/20). With the rectangular window the zero bin
-    equals the plain sum of the samples.
+    equals the plain sum of the samples. Raises GeometryError for fewer than
+    8 samples, a NaN or infinite sample, a bad spacing, threshold or window.
     """
     samples = np.asarray(samples, dtype=np.complex128)
     if samples.ndim != 1 or len(samples) < 8:
         raise GeometryError(f"need at least 8 samples, got {samples.shape}")
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if len(bad):
+        raise GeometryError(f"{len(bad)} of {len(samples)} samples are not finite, "
+                            f"the first at indices {bad[:8].tolist()}")
     if not (np.isfinite(spacing) and spacing > 0):
         raise GeometryError(f"spacing must be positive and finite, got {spacing}")
     if not (np.isfinite(threshold_db) and threshold_db < 0):

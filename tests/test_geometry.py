@@ -187,6 +187,19 @@ def test_scene_validation():
         Scene([np.nan, 0.0])
 
 
+@pytest.mark.parametrize("make, what", [
+    (lambda: WaveParams(True), "wavelength"),
+    (lambda: WaveParams(np.True_), "wavelength"),
+    (lambda: WaveParams("1.5"), "wavelength"),
+    (lambda: Scene([1.0, 2.0], reflectivity="1+2j"), "reflectivity"),
+    (lambda: Scene([1.0, 2.0], reflectivity=True), "reflectivity"),
+    (lambda: Scene([1.0, 2.0], reflectivity=np.str_("2")), "reflectivity"),
+])
+def test_boolean_and_string_numbers_rejected(make, what):
+    with pytest.raises(GeometryError, match=f"{what} must be a number"):
+        make()
+
+
 @pytest.mark.parametrize("reflectivity", [complex(np.nan, 0.0), complex(0.0, np.inf),
                                           -np.inf])
 def test_non_finite_reflectivity_rejected(reflectivity):

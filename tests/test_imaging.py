@@ -606,6 +606,49 @@ def _long_double_chirp_sum(elements, d_s, wavelength, points):
     return acc[0].astype(float) + 1j * acc[1].astype(float)
 
 
+def _term_by_term_chirp_sum(elements, d_s, wavelength, points, batch=ELEMENT_BATCH):
+    """The chirp sum transcribed pass for pass in its plain form: squares as
+    multiply(t, t), the imaginary terms as 2t q, and each batch's rows added
+    into the real and imaginary halves of one complex array."""
+    n = len(points)
+    cols = np.ascontiguousarray(points.T)
+    x = elements.T
+    dt_buf, t_buf, q_buf = np.empty((3, min(batch, len(elements)), n))
+    acc = np.zeros(n, dtype=np.complex128)
+    re, im = acc.real, acc.imag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, len(elements), len(dt_buf)):
+            hi = min(lo + len(dt_buf), len(elements))
+            dt, t, q = dt_buf[:hi - lo], t_buf[:hi - lo], q_buf[:hi - lo]
+            ds = d_s[lo:hi, None]
+            np.subtract(x[0][lo:hi, None], cols[0], out=dt)
+            np.multiply(dt, dt, out=dt)
+            for x_i, c_i in zip(x[1:], cols[1:]):
+                np.subtract(x_i[lo:hi, None], c_i, out=t)
+                np.multiply(t, t, out=t)
+                dt += t
+            np.sqrt(dt, out=dt)
+            w = np.subtract(dt, ds, out=t)
+            w /= wavelength
+            w -= np.rint(w, out=q)
+            np.tan(np.multiply(w, np.pi, out=t), out=t)
+            dt *= ds
+            np.multiply(t, t, out=q)
+            q += 1.0
+            q *= dt
+            np.divide(1.0, q, out=q)
+            np.multiply(t, t, out=dt)
+            np.subtract(1.0, dt, out=dt)
+            dt *= q
+            t *= 2.0
+            t *= q
+            for row in dt:
+                re += row
+            for row in t:
+                im += row
+    return acc
+
+
 # Lattices of 1, 2 and 3 axes whose element counts (11, 20, 60) leave a
 # partial last batch at widths 3 and 8; 1D, 2D and 3D space.
 BATCH_LATTICES = {
@@ -642,6 +685,23 @@ class TestChirpSum:
         for batch in (3, 8, len(elements) + 5):
             got = _chirp_sum(elements, d_s, WAVE.wavelength, points, batch)
             assert got.tobytes() == one.tobytes(), batch
+
+    @pytest.mark.parametrize("case", [*sorted(BATCH_LATTICES), "fig1_peak_block"])
+    def test_bits_match_the_term_by_term_transcription(self, case):
+        if case == "fig1_peak_block":
+            # The block holding the scatterer cell (127, 127), so the peak.
+            arr, scatterer = FIG1_TX, FIG1_SCENE.scatterer
+            points = FIG1_GRID.cell_centers(3 * CELL_BLOCK, 4 * CELL_BLOCK)
+        else:
+            arr, scatterer = BATCH_LATTICES[case]
+            scatterer = np.asarray(scatterer)
+            points = _batch_case_points(arr, scatterer, 997, 61)
+        elements, d_s, _ = _scatterer_distances(arr, scatterer, 0.1)
+        got = _chirp_sum(elements, d_s, WAVE.wavelength, points)
+        want = _term_by_term_chirp_sum(elements, d_s, WAVE.wavelength, points)
+        if case != "fig1_peak_block":
+            assert not np.all(np.isfinite(want))
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case", ["fig1_block", "planar_3d"])
     def test_against_long_double_reference(self, case):

@@ -78,9 +78,14 @@ def test_kernel_threads_smoke():
         assert geometry["cells"] == 91 * 91
         for kernel in ("partial_image", "aliasing_mask"):
             assert geometry[kernel]["identical"] is True
+            elements = (sum(geometry["elements"].values()) if kernel == "aliasing_mask"
+                        else geometry["elements"]["tx"])
             for threads in ("threads_1", "threads_2"):
                 times = geometry[kernel][threads]
                 assert 0 < times["q1"] <= times["median"] <= times["q3"]
+                # The median is rounded to 0.1 ms, the rate to 0.001 ns.
+                seconds = times["ns_per_element_cell"] * elements * geometry["cells"] / 1e9
+                assert seconds == pytest.approx(times["median"], abs=1e-4)
 
 
 @pytest.mark.parametrize("resolution", ["1", "0"])

@@ -111,6 +111,20 @@ class TestSpectralSupport:
         with pytest.raises(GeometryError):
             spectral_support(samples, 0.5, -20.0, window="hamming")
 
+    @pytest.mark.parametrize("bad, named", [
+        (np.full(8, np.nan), "8 of 8 samples are not finite, "
+                             "the first at indices [0, 1, 2, 3, 4, 5, 6, 7]"),
+        (np.r_[np.ones(3), np.inf, np.ones(4)], "1 of 8 samples are not finite, "
+                                                "the first at indices [3]"),
+        (np.r_[np.ones(15), complex(0.0, -np.inf)], "1 of 16 samples are not finite, "
+                                                     "the first at indices [15]"),
+    ])
+    @pytest.mark.parametrize("window", ["hann", "rect"])
+    def test_non_finite_samples_rejected(self, bad, named, window):
+        with pytest.raises(GeometryError) as info:
+            spectral_support(bad, 0.5, -20.0, window=window)
+        assert named in str(info.value)
+
     def test_magnitude_nonnegative_and_support_below_nyquist(self):
         samples = sample_chirp_along_axis(FIG1_TX, [1200.0, 400.0], FIG1_XS, WAVE, 0, 8)
         spacing = FIG1_SPACING / 8
