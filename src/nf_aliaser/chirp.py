@@ -362,11 +362,18 @@ def aliasing_mask(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: Wave
     # interpreter lock.
     if not any(a.num_elements > a.counts[j] for a in (tx, rx) for j in a.sampled_axes()):
         threads = 1
-    excluded, *kmaxes = _run_blocks(lambda cells: (*tx_kmax(cells), *rx_kmax(cells)),
-                                    (tx, rx), grid, eps, threads)
-    layers = []
     sampled = [("tx", tx, j) for j in tx_axes] + [("rx", rx, j) for j in rx_axes]
-    for (label, array, j), km in zip(sampled, kmaxes):
-        free = _within_bound(k, km, array.spacings[j]) & ~excluded
+
+    def kernel(cells: np.ndarray) -> tuple:
+        # Each block's verdicts, so that only boolean layers span the grid.
+        kmaxes = (*tx_kmax(cells), *rx_kmax(cells))
+        return tuple(_within_bound(k, km, array.spacings[j])
+                     for (_, array, j), km in zip(sampled, kmaxes))
+
+    excluded, *frees = _run_blocks(kernel, (tx, rx), grid, eps, threads)
+    usable = ~excluded
+    layers = []
+    for (label, _, j), free in zip(sampled, frees):
+        free &= usable
         layers.append(MaskLayer(array_label=label, axis_index=j, free=free))
     return AliasingMask(grid=grid, layers=tuple(layers), excluded=excluded)

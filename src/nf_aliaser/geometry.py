@@ -17,12 +17,6 @@ ORTHO_TOL = 1e-12
 ROLE_TAGS = ("transmit", "receive")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 def same_dimension(a, b, what: str) -> tuple:
     """a and b as float arrays; GridError when their trailing axes, the
     coordinate counts of the positions they hold, differ."""
@@ -39,6 +33,22 @@ def as_number(value, kind: type = float):
     if isinstance(value, (bool, np.bool_, str)):
         raise TypeError(f"not a number: {value!r}")
     return kind(value)
+
+
+def _readonly(value, error: type, what: str) -> np.ndarray:
+    """value as a read-only float array of at least one dimension.
+
+    Raises error unless every element, as given, passes as_number: the float
+    conversion alone would accept True and "0.5" as 1.0 and 0.5.
+    """
+    try:
+        for v in np.asarray(value, dtype=object).flat:
+            as_number(v)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} must hold numbers, got {value!r}") from exc
+    a = np.atleast_1d(np.array(value, dtype=float))
+    a.setflags(write=False)
+    return a
 
 
 def whole_numbers(values, error: type, what: str) -> tuple:
@@ -103,9 +113,9 @@ class ArrayGeometry:
     role_tag: str
 
     def __post_init__(self):
-        origin = _readonly(np.atleast_1d(self.origin))
-        axes = np.atleast_2d(np.asarray(self.axes, dtype=float))
-        spacings = _readonly(np.atleast_1d(self.spacings))
+        origin = _readonly(self.origin, GeometryError, "origin")
+        axes = np.atleast_2d(_readonly(self.axes, GeometryError, "axes"))
+        spacings = _readonly(self.spacings, GeometryError, "spacings")
         counts = whole_numbers(self.counts, GeometryError, "counts")
 
         d = origin.shape[0]
@@ -129,7 +139,7 @@ class ArrayGeometry:
             raise GeometryError(f"role_tag must be one of {ROLE_TAGS}, got {self.role_tag!r}")
 
         object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "axes", _readonly(axes))
+        object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "spacings", spacings)
 
@@ -204,7 +214,7 @@ class Scene:
     reflectivity: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        pos = _readonly(np.atleast_1d(self.scatterer))
+        pos = _readonly(self.scatterer, GeometryError, "scatterer")
         if pos.ndim != 1 or not 1 <= pos.shape[0] <= 3 or not np.all(np.isfinite(pos)):
             raise GeometryError(f"scatterer must be a finite 1-3 component vector, got {self.scatterer}")
         try:
@@ -226,8 +236,8 @@ class EvalGrid:
     resolution: tuple
 
     def __post_init__(self):
-        lo = _readonly(np.atleast_1d(self.corner_min))
-        hi = _readonly(np.atleast_1d(self.corner_max))
+        lo = _readonly(self.corner_min, GridError, "corner_min")
+        hi = _readonly(self.corner_max, GridError, "corner_max")
         res = whole_numbers(self.resolution, GridError, "resolution")
         d = lo.shape[0]
         if hi.shape != (d,) or len(res) != d:

@@ -263,9 +263,11 @@ def bistatic_image(tx_field: ComplexField, rx_field: ComplexField,
     if scat_t is not None and scat_r is not None and scat_t != scat_r:
         raise GridError("partial images were computed for different scenes")
 
-    values = complex(reflectivity) * tx_field.values * rx_field.values
+    # (refl * tx) * rx, as one whole-grid buffer.
+    values = np.multiply(complex(reflectivity), tx_field.values)
+    values *= rx_field.values
     excluded = tx_field.excluded | rx_field.excluded
-    values = np.where(excluded, 0.0, values)
+    values[excluded] = 0.0
     return ComplexField(grid=gt, values=values, excluded=excluded, scatterer=scat_t)
 
 
@@ -316,15 +318,19 @@ def magnitude_db(field_: ComplexField, floor_db: float) -> np.ndarray:
     usable = ~field_.excluded
     if not usable.any():
         raise GridError("field has no non-excluded cells")
-    mag = np.abs(field_.values)
-    peak = mag[usable].max()
+    # One whole-grid buffer, worked in place: the same operations, in the
+    # same order, as 20 log10(|v| / peak) clamped at floor_db.
+    db = np.abs(field_.values)
+    peak = np.max(db, where=usable, initial=-np.inf)
     if not np.isfinite(peak):
         # max propagates NaN, and an infinite cell is the peak.
         raise GridError("field has a non-finite value on a non-excluded cell")
     if peak == 0.0:
         raise GridError("field is identically zero on non-excluded cells")
+    db /= peak
     with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(mag / peak)
-    db = np.maximum(db, floor_db)
+        np.log10(db, out=db)
+    db *= 20.0
+    np.maximum(db, floor_db, out=db)
     db[field_.excluded] = floor_db
     return db

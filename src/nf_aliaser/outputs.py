@@ -101,13 +101,14 @@ _PGM_CELLS = np.array([list(str(v).encode("ascii").ljust(3, b"\0")) + [ord(" ")]
 
 
 def _pgm_text(pixels: np.ndarray, comment: str) -> bytes:
-    """P2 file bytes of the integer gray levels pixels, indexed [x, y] and
-    rendered with y increasing upward. Raises ValueError for a level outside
-    0..255, which maxval 255 cannot hold."""
+    """P2 file bytes of the whole-number gray levels pixels (of any numeric
+    dtype), indexed [x, y] and rendered with y increasing upward. Raises
+    ValueError for a level outside 0..255, which maxval 255 cannot hold."""
     width, height = pixels.shape
-    if pixels.min() < 0 or pixels.max() > 255:
+    if not (pixels.min() >= 0 and pixels.max() <= 255):
         raise ValueError(f"PGM levels must lie in 0..255, got {pixels.min()}..{pixels.max()}")
-    top_down = np.ascontiguousarray(pixels[:, ::-1].T)
+    # The one cast, fused with the top-down copy.
+    top_down = np.ascontiguousarray(pixels[:, ::-1].T, dtype=np.uint8)
     cells = _PGM_CELLS[top_down].view(np.uint8).reshape(height, width, 4)
     cells[:, -1, 3] = ord("\n")
     flat = cells.ravel()
@@ -120,9 +121,10 @@ def write_field_pgm(path: Path, name: str, field: ComplexField, floor_db: float)
     if field.values.ndim != 2:
         raise ValueError("PGM rendering requires a 2D grid")
     db = magnitude_db(field, floor_db)
-    scale = 255.0 / (-floor_db)
-    pixels = np.rint((db - floor_db) * scale).astype(int)
-    path.write_bytes(_pgm_text(pixels, f"nf-aliaser {name}"))
+    # In place, the same operations as np.rint((db - floor_db) * (255 / -floor_db)).
+    db -= floor_db
+    db *= 255.0 / (-floor_db)
+    path.write_bytes(_pgm_text(np.rint(db, out=db), f"nf-aliaser {name}"))
 
 
 def write_mask_pgm(path: Path, name: str, mask: np.ndarray) -> None:
@@ -132,8 +134,19 @@ def write_mask_pgm(path: Path, name: str, mask: np.ndarray) -> None:
     path.write_bytes(_pgm_text(pixels, f"nf-aliaser {name}"))
 
 
+# Bytes per read of sha256_of: the buffer hashlib.file_digest uses (Python
+# 3.11+), so no product file is ever held whole to be hashed.
+HASH_CHUNK = 256 * 1024
+
+
 def sha256_of(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    buf = bytearray(HASH_CHUNK)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as f:
+        while size := f.readinto(buf):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 def write_manifest(path: Path, tool_version: str, resolved_config: dict,

@@ -200,6 +200,19 @@ def test_boolean_and_string_numbers_rejected(make, what):
         make()
 
 
+# np.array(..., dtype=float) alone would accept each of these as numbers.
+@pytest.mark.parametrize("make, error, what", [
+    (lambda: Scene(["1", "2"]), GeometryError, "scatterer"),
+    (lambda: Scene([True, 5.0]), GeometryError, "scatterer"),
+    (lambda: EvalGrid(["0", "0"], [1, 1], (2, 2)), GridError, "corner_min"),
+    (lambda: build_uniform_array(["0", "0"], [[1, 0]], [4], ["0.5"], "transmit"),
+     GeometryError, "origin"),
+])
+def test_positions_refuse_booleans_and_strings(make, error, what):
+    with pytest.raises(error, match=f"{what} must hold numbers"):
+        make()
+
+
 @pytest.mark.parametrize("reflectivity", [complex(np.nan, 0.0), complex(0.0, np.inf),
                                           -np.inf])
 def test_non_finite_reflectivity_rejected(reflectivity):

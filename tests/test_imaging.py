@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nf_aliaser import (
+    ComplexField,
     EvalGrid,
     GridError,
     Scene,
@@ -741,6 +742,65 @@ class TestChirpSum:
             for n in range(1, 101):
                 got = partial_image_at(arr, points[start:start + n], FIG1_SCENE, WAVE)
                 np.testing.assert_array_equal(got, values[start:start + n])
+
+
+# Literal transcriptions of the whole-array expressions that bistatic_image and
+# magnitude_db work in place; the bits must not move.
+def _bistatic_values(tx_field, rx_field, reflectivity):
+    values = complex(reflectivity) * tx_field.values * rx_field.values
+    excluded = tx_field.excluded | rx_field.excluded
+    return np.where(excluded, 0.0, values)
+
+
+def _magnitude_db(field_, floor_db):
+    mag = np.abs(field_.values)
+    peak = mag[~field_.excluded].max()
+    with np.errstate(divide="ignore"):
+        db = 20.0 * np.log10(mag / peak)
+    db = np.maximum(db, floor_db)
+    db[field_.excluded] = floor_db
+    return db
+
+
+def _pin_case(name):
+    """(tx, rx) partial images: the fig1 ones, or random fields on a 9 x 7
+    grid whose excluded cells hold NaN and inf, or with a zero usable cell."""
+    if name == "fig1":
+        rx = build_uniform_array([0.0, 500.0 - 63 / 2 * FIG1_SPACING], [[0, 1]], [64],
+                                 [FIG1_SPACING], "receive")
+        return tuple(partial_image(a, FIG1_SCENE, WAVE, FIG1_GRID) for a in (FIG1_TX, rx))
+    grid = EvalGrid([0.0, 0.0], [9.0, 7.0], (9, 7))
+    rng = np.random.default_rng(41)
+    fields = []
+    for bad in (np.nan, np.inf):
+        values = rng.normal(size=(9, 7, 2)) @ np.array([1.0, 1j])
+        values *= np.exp(rng.uniform(-12.0, 0.0, (9, 7)))
+        excluded = rng.random((9, 7)) < 0.2
+        if name == "non_finite_excluded":
+            values[excluded] = complex(bad, -bad)
+        else:
+            values[4, 3] = 0.0
+            excluded[4, 3] = False
+        fields.append(ComplexField(grid=grid, values=values, excluded=excluded))
+    return tuple(fields)
+
+
+@pytest.mark.parametrize("case", ["fig1", "non_finite_excluded", "zero_usable_cell"])
+class TestInPlaceBits:
+    @pytest.mark.parametrize("reflectivity", [1.0, 0.5 - 2.0j])
+    def test_bistatic_image(self, case, reflectivity):
+        tx, rx = _pin_case(case)
+        with np.errstate(invalid="ignore"):
+            expected = _bistatic_values(tx, rx, reflectivity)
+            image = bistatic_image(tx, rx, reflectivity)
+        assert image.values.tobytes() == expected.tobytes()
+        assert image.values.dtype == np.complex128
+
+    def test_magnitude_db(self, case):
+        for field in _pin_case(case):
+            got = magnitude_db(field, -60.0)
+            assert got.tobytes() == _magnitude_db(field, -60.0).tobytes()
+            assert np.all(np.isfinite(got))
 
 
 class TestMagnitudeDb:

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,8 +13,10 @@ from nf_aliaser import (
     Scene,
     WaveParams,
     aliasing_mask,
+    bistatic_image,
     build_uniform_array,
     magnitude_db,
+    partial_image,
 )
 from nf_aliaser import outputs
 from nf_aliaser.floatfmt import python_formatted
@@ -23,6 +28,7 @@ from nf_aliaser.outputs import (
     fmt,
     write_field_csv,
     write_field_pgm,
+    write_manifest,
     write_mask_csv,
     write_mask_pgm,
     write_spectrum_csv,
@@ -297,3 +303,61 @@ def test_pairs_seeded_every_decade(tmp_path):
 def test_pairs_python_formatted_count():
     values = [0.0, -0.0, 1.0, 0.1, np.inf, np.nan, 5e-324, 1e-300, 1e300, 2.0 ** -25]
     assert python_formatted(values) == 6
+
+
+# The fig1 geometry on its 255 x 255 grid.
+FIG1_SPACING = 500.0 / 64
+FIG1_TX = build_uniform_array([500.0 - 63 / 2 * FIG1_SPACING, 0.0], [[1, 0]], [64],
+                              [FIG1_SPACING], "transmit")
+FIG1_RX = build_uniform_array([0.0, 500.0 - 63 / 2 * FIG1_SPACING], [[0, 1]], [64],
+                              [FIG1_SPACING], "receive")
+FIG1_SCENE = Scene([1000.0, 1000.0])
+FIG1_GRID = EvalGrid([150.0, 150.0], [1850.0, 1850.0], (255, 255))
+# Three whole-grid float arrays.
+THREE_GRIDS = 3 * 8 * FIG1_GRID.num_cells
+
+
+def _traced_peak(call):
+    """Peak bytes the interpreter and numpy allocate during call(), after one
+    untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Each stage holds at most one whole-grid buffer besides what it returns.
+class TestStagePeaks:
+    @pytest.fixture(scope="class")
+    def image(self):
+        tx, rx = (partial_image(a, FIG1_SCENE, WAVE, FIG1_GRID) for a in (FIG1_TX, FIG1_RX))
+        return bistatic_image(tx, rx, 1.0)
+
+    def test_manifest_hashes_in_chunks(self, tmp_path):
+        product = tmp_path / "big.bin"
+        data = np.arange(1 << 20, dtype=np.float64).tobytes()
+        product.write_bytes(data)
+        expected = hashlib.sha256(data).hexdigest()
+        del data
+        peak = _traced_peak(lambda: write_manifest(tmp_path / "manifest.json", "0", {},
+                                                   {"big": product}))
+        assert product.stat().st_size == 8 << 20
+        assert peak < 1 << 20
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["products"][0]["sha256"] == expected
+
+    def test_bistatic_image_holds_only_its_product(self, image):
+        product = image.values.nbytes + image.excluded.nbytes
+        assert _traced_peak(lambda: bistatic_image(image, image, 1.0)) <= 1.05 * product
+
+    def test_field_pgm(self, tmp_path, image):
+        peak = _traced_peak(lambda: write_field_pgm(tmp_path / "f.pgm", "f", image, -60.0))
+        assert peak < THREE_GRIDS
+
+    def test_aliasing_mask(self):
+        peak = _traced_peak(lambda: aliasing_mask(FIG1_TX, FIG1_RX, FIG1_SCENE, WAVE,
+                                                  FIG1_GRID, threads=1))
+        assert peak < THREE_GRIDS

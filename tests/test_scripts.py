@@ -93,3 +93,28 @@ def test_kernel_threads_resolution_below_two_rejected(resolution):
     result = run_script("kernel_threads.py", "--rounds", "1", "--resolution", resolution)
     assert result.returncode == 2
     assert "--resolution must be at least 2" in result.stderr
+
+
+def test_peak_rss_smoke():
+    result = run_script("peak_rss.py", "--workload", "fig1_run", "--seed", "3", "--calls", "2")
+    assert result.returncode == 0, result.stdout + result.stderr
+    report = json.loads(result.stdout)
+    assert (report["workload"], report["seed"], len(report["calls"])) == ("fig1_run", 3, 2)
+    before = report["setup_mb"]
+    for call in report["calls"]:
+        names = [name for name, _ in call["stages"]]
+        assert names[:4] == ["chirp.aliasing_mask", "imaging.partial_image",
+                             "imaging.partial_image", "imaging.bistatic_image"]
+        assert names[-1] == "outputs.write_manifest"
+        assert names.count("outputs.write_field_pgm") == 3
+        readings = [before] + [mb for _, mb in call["stages"]]
+        assert readings == sorted(readings)
+        assert call["peak_mb"] >= readings[-1]
+        assert call["peak_stage"] is None or call["peak_stage"] in names
+        before = call["peak_mb"]
+
+
+def test_peak_rss_calls_below_one_rejected():
+    result = run_script("peak_rss.py", "--calls", "0")
+    assert result.returncode == 2
+    assert "--calls must be at least 1" in result.stderr
