@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams
+from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams, _complement
 from .imaging import _block_columns, _distance, _run_blocks, _scatterer_distances
 from .wavefield import _checked_distance, exclusion_radius
 
@@ -146,22 +146,6 @@ def _kmax_layers(array: ArrayGeometry, scatterer: np.ndarray, eps: float, wavenu
         return tuple(best)
 
     return axes_idx, kernel
-
-
-def _complement(u: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the directions perpendicular to unit u.
-
-    Distances from a line are taken from these components, without
-    cancellation and exactly 0 for points on an axis-aligned line. Built by
-    hand: an SVD would add about 1 MB of LAPACK workspace to the peak RSS.
-    """
-    if len(u) == 1:
-        return np.empty((0, 1))
-    if len(u) == 2:
-        return np.array([[-u[1], u[0]]])
-    v = np.cross(u, np.eye(3)[np.argmin(np.abs(u))])
-    v /= np.sqrt(v @ v)
-    return np.array([v, np.cross(u, v)])
 
 
 def _line_roots(u_t: np.ndarray, w: np.ndarray, u_s, b, rs2, h2: np.ndarray, a: np.ndarray,

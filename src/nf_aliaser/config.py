@@ -240,17 +240,18 @@ def load_config(source) -> RunConfig:
     """Load a RunConfig from a JSON file path or a raw JSON string.
 
     Strings that start with '{' are parsed as JSON text; anything else is
-    treated as a path. Parse errors carry line/column positions.
+    treated as a path. A missing or non-UTF-8 file raises ConfigError, and so
+    does a parse error, with its line/column position.
     """
-    if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
+    if isinstance(source, str) and source.lstrip().startswith("{"):
         text = source
     else:
-        path = Path(source)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {source}")
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config file not found: {source}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {source} is not UTF-8: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -189,6 +189,27 @@ class ArrayGeometry:
         return self.origin[None, :] + idx @ steps
 
 
+def _complement(axes) -> np.ndarray:
+    """Orthonormal rows spanning the directions perpendicular to the
+    orthonormal rows of axes: [-u_y, u_x] for one row u in 2D; otherwise each
+    coordinate axis in index order, less its projections on the rows so far,
+    kept normalised if at least half its length remains (the squared residuals
+    sum to d - k >= 1 for k rows in d dimensions, so enough do). Distances
+    from a line along these rows have no cancellation, and are exactly 0 on an
+    axis-aligned line. An SVD would add 1 MB of LAPACK workspace to the peak.
+    """
+    axes = np.atleast_2d(axes)
+    if axes.shape == (1, 2):
+        return np.array([[-axes[0, 1], axes[0, 0]]])
+    rows = list(axes)
+    for e in np.eye(axes.shape[1]):
+        for r in rows:
+            e -= (e @ r) * r
+        if e @ e >= 0.25:
+            rows.append(e / np.sqrt(e @ e))
+    return np.array(rows[len(axes):]).reshape(-1, axes.shape[1])
+
+
 def build_uniform_array(origin, axes, counts, spacings, role_tag) -> ArrayGeometry:
     """Construct a validated uniform lattice array.
 

@@ -26,6 +26,10 @@ def fmt(x) -> str:
 # formatter's temporaries near 0.55 MB, the peak of the per-value %-format of
 # 4096 rows it replaced; 1024 and 4096 rows were no faster.
 PAIR_ROWS = 2048
+# Cells per write of the mask CSV writer and the PGM encoder: no whole body is held.
+BAND_CELLS = 1 << 15
+# The mask CSV row of a cell, "0\n" or "1\n", indexed by its verdict.
+_MASK_ROWS = np.frombuffer(b"0\n1\n", dtype=np.uint16)
 
 
 def _write_pairs_csv(path: Path, head: list, pairs: np.ndarray) -> None:
@@ -60,10 +64,11 @@ def write_mask_csv(path: Path, name: str, mask: np.ndarray, grid, wavelength: fl
     lines = [f"# nf-aliaser {name}"]
     lines += _grid_comments(grid, wavelength)
     lines.append("# columns: aliasing_free")
-    rows = np.full((mask.size, 2), ord("\n"), dtype=np.uint8)
-    rows[:, 0] = np.where(mask.ravel(order="C"), ord("1"), ord("0"))
-    path.write_text("\n".join(lines) + "\n" + rows.tobytes().decode("ascii"),
-                    encoding="ascii")
+    flat = np.asarray(mask, dtype=bool).ravel().view(np.uint8)
+    with open(path, "wb") as f:
+        f.write(("\n".join(lines) + "\n").encode("ascii"))
+        for start in range(0, flat.size, BAND_CELLS):
+            f.write(_MASK_ROWS[flat[start:start + BAND_CELLS]])
 
 
 def write_spectrum_csv(path: Path, name: str, support, wavelength: float) -> None:
@@ -100,20 +105,24 @@ _PGM_CELLS = np.array([list(str(v).encode("ascii").ljust(3, b"\0")) + [ord(" ")]
                        for v in range(256)], dtype=np.uint8).view(np.uint32).ravel()
 
 
-def _pgm_text(pixels: np.ndarray, comment: str) -> bytes:
-    """P2 file bytes of the whole-number gray levels pixels (of any numeric
-    dtype), indexed [x, y] and rendered with y increasing upward. Raises
-    ValueError for a level outside 0..255, which maxval 255 cannot hold."""
+def _write_pgm(path: Path, pixels: np.ndarray, comment: str) -> None:
+    """Write the P2 file of the whole-number gray levels pixels (of any
+    numeric dtype), indexed [x, y] and rendered with y increasing upward, a
+    band of raster rows at a time. Raises ValueError, before the file is
+    opened, for a level outside 0..255, which maxval 255 cannot hold."""
     width, height = pixels.shape
     if not (pixels.min() >= 0 and pixels.max() <= 255):
         raise ValueError(f"PGM levels must lie in 0..255, got {pixels.min()}..{pixels.max()}")
-    # The one cast, fused with the top-down copy.
-    top_down = np.ascontiguousarray(pixels[:, ::-1].T, dtype=np.uint8)
-    cells = _PGM_CELLS[top_down].view(np.uint8).reshape(height, width, 4)
-    cells[:, -1, 3] = ord("\n")
-    flat = cells.ravel()
-    head = f"P2\n# {comment}\n{width} {height}\n255\n".encode("ascii")
-    return head + flat[flat != 0].tobytes()
+    top_down = pixels[:, ::-1].T
+    rows = max(1, BAND_CELLS // width)
+    with open(path, "wb") as f:
+        f.write(f"P2\n# {comment}\n{width} {height}\n255\n".encode("ascii"))
+        for start in range(0, height, rows):
+            # The one cast, fused with the band's top-down copy.
+            band = np.ascontiguousarray(top_down[start:start + rows], dtype=np.uint8)
+            cells = _PGM_CELLS[band].view(np.uint8).reshape(len(band), width, 4)
+            cells[:, -1, 3] = ord("\n")
+            f.write(cells[cells != 0])
 
 
 def write_field_pgm(path: Path, name: str, field: ComplexField, floor_db: float) -> None:
@@ -124,14 +133,13 @@ def write_field_pgm(path: Path, name: str, field: ComplexField, floor_db: float)
     # In place, the same operations as np.rint((db - floor_db) * (255 / -floor_db)).
     db -= floor_db
     db *= 255.0 / (-floor_db)
-    path.write_bytes(_pgm_text(np.rint(db, out=db), f"nf-aliaser {name}"))
+    _write_pgm(path, np.rint(db, out=db), f"nf-aliaser {name}")
 
 
 def write_mask_pgm(path: Path, name: str, mask: np.ndarray) -> None:
     if mask.ndim != 2:
         raise ValueError("PGM rendering requires a 2D grid")
-    pixels = np.where(mask, 255, 0)
-    path.write_bytes(_pgm_text(pixels, f"nf-aliaser {name}"))
+    _write_pgm(path, np.where(mask, np.uint8(255), np.uint8(0)), f"nf-aliaser {name}")
 
 
 # Bytes per read of sha256_of: the buffer hashlib.file_digest uses (Python

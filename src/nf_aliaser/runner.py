@@ -9,8 +9,7 @@ import numpy as np
 from . import __version__
 from .chirp import AliasingMask, aliasing_mask
 from .config import RunConfig, sweep_values
-from .errors import ConfigError
-from .geometry import ArrayGeometry, Scene
+from .geometry import ArrayGeometry, Scene, _complement
 from .imaging import bistatic_image, default_threads, partial_image
 from .outputs import (
     write_field_csv,
@@ -22,21 +21,6 @@ from .outputs import (
     write_sweep_csv,
 )
 from .spectral import sample_chirp_along_axis, spectral_support
-
-
-def _perp_axis(axis: np.ndarray, used: list) -> np.ndarray:
-    """Deterministic unit vector orthogonal to all vectors in `used`."""
-    d = axis.shape[0]
-    if d == 2:
-        return np.array([-axis[1], axis[0]])
-    for candidate in np.eye(d):
-        v = candidate.copy()
-        for u in used:
-            v -= (v @ u) * u
-        norm = np.linalg.norm(v)
-        if norm > 1e-9:
-            return v / norm
-    raise ConfigError("no orthogonal direction available for dimensionality sweep")
 
 
 def _recentered(array: ArrayGeometry, axes: np.ndarray, counts: tuple,
@@ -94,12 +78,11 @@ def _sweep_variant(config: RunConfig, param: str, value):
         return tx, rx, new_scene, label
 
     def rebuild(a: ArrayGeometry) -> ArrayGeometry:
-        axes, counts, spacings = list(a.axes[:v]), list(a.counts[:v]), list(a.spacings[:v])
-        while len(axes) < v:
-            axes.append(_perp_axis(axes[0], axes))
-            counts.append(a.counts[0])
-            spacings.append(a.spacings[0])
-        return _recentered(a, np.vstack(axes), tuple(counts), np.asarray(spacings))
+        axes = a.axes[:v]
+        added = v - len(axes)
+        return _recentered(a, np.vstack([axes, _complement(axes)[:added]]),
+                           a.counts[:v] + a.counts[:1] * added,
+                           np.concatenate([a.spacings[:v], a.spacings[:1].repeat(added)]))
 
     return rebuild(tx), rebuild(rx), scene, f"{v}d"
 

@@ -48,6 +48,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config("/no/such/config.json")
 
+    def test_missing_path_object(self, tmp_path):
+        with pytest.raises(ConfigError, match="not found"):
+            load_config(tmp_path / "none.json")
+
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(small_config()).encode("ascii"))
+        for source in (path, str(path)):
+            with pytest.raises(ConfigError, match="not UTF-8"):
+                load_config(source)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
     def test_parse_error_reports_position(self):
         with pytest.raises(ConfigError, match=r"line 1, column \d+"):
             load_config('{"wave": {"la: 1}}')
@@ -401,22 +413,43 @@ class TestSweep:
         assert rx.counts == (8, 8)
         np.testing.assert_array_equal(rx.spacings, [0.5, 0.5])
 
-    def test_dimensionality_adds_only_missing_axes_in_3d(self):
+    @staticmethod
+    def _config_3d(tx_axes, tx_counts, rx_axes):
         cfg = small_config(outputs=["mask"])
-        cfg["tx"] = {"origin": [20.0, 0.0, 0.0], "axes": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
-                     "counts": [64, 8], "spacings_lambda": [2.0, 3.0]}
-        cfg["rx"] = {"origin": [0.0, 20.0, 0.0], "axes": [[0.0, 1.0, 0.0]], "counts": [8],
+        cfg["tx"] = {"origin": [20.0, 0.0, 0.0], "axes": tx_axes, "counts": tx_counts,
+                     "spacings_lambda": [2.0, 3.0][:len(tx_axes)]}
+        cfg["rx"] = {"origin": [0.0, 20.0, 0.0], "axes": rx_axes, "counts": [8],
                      "spacings_lambda": [0.5]}
         cfg["scene"] = {"scatterer": [40.0, 40.0, 10.0]}
         cfg["grid"] = {"min": [30.0, 30.0, 0.0], "max": [50.0, 50.0, 20.0],
                        "resolution": [4, 4, 4]}
-        config = resolve_config(cfg)
-        tx = _sweep_variant(config, "dimensionality", 3)[0]
-        assert tx.counts == (64, 8, 64)
-        np.testing.assert_array_equal(tx.spacings, [2.0, 3.0, 2.0])
-        np.testing.assert_array_equal(tx.axes[:2], config.tx.axes)
-        np.testing.assert_allclose(np.abs(tx.axes[2]), [0.0, 0.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(tx.center, config.tx.center, atol=1e-12)
+        return resolve_config(cfg)
+
+    def test_dimensionality_adds_only_missing_axes_in_3d(self):
+        e0, e1, e2 = np.eye(3).tolist()
+        # A linear array gains coordinate axes in index order, exactly.
+        for rx_axis, added in ((e1, [e0, e2]), (e0, [e1, e2])):
+            config = self._config_3d([e0, e1], [64, 8], [rx_axis])
+            tx = _sweep_variant(config, "dimensionality", 3)[0]
+            assert tx.counts == (64, 8, 64)
+            np.testing.assert_array_equal(tx.spacings, [2.0, 3.0, 2.0])
+            np.testing.assert_array_equal(tx.axes, [e0, e1, e2])
+            np.testing.assert_allclose(tx.center, config.tx.center, atol=1e-12)
+            for v in (2, 3):
+                rx = _sweep_variant(config, "dimensionality", v)[1]
+                np.testing.assert_array_equal(rx.axes, [rx_axis] + added[:v - 1])
+                assert rx.counts == (8,) * v
+
+    @pytest.mark.parametrize("tilt", [1e-6, 1e-9])
+    @pytest.mark.parametrize("v", [2, 3])
+    def test_dimensionality_near_axis_in_3d(self, tilt, v):
+        u = np.array([1.0, tilt, 0.0]) / np.hypot(1.0, tilt)
+        config = self._config_3d([u.tolist()], [8], [[0.0, 1.0, 0.0]])
+        for array in _sweep_variant(config, "dimensionality", v)[:2]:
+            assert array.n_axes == v
+            np.testing.assert_allclose(array.axes @ array.axes.T, np.eye(v), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(_sweep_variant(config, "dimensionality", v)[0].axes[0], u)
+        assert sweep(config, "dimensionality", [v])[0]["value"] == f"{v}d"
 
     def test_sweep_mask_matches_run_mask(self, tmp_path):
         cfg = small_config(outputs=["mask"])

@@ -11,7 +11,7 @@ from nf_aliaser import (
     WaveParams,
     build_uniform_array,
 )
-from nf_aliaser.geometry import min_element_distance
+from nf_aliaser.geometry import _complement, min_element_distance
 
 
 def test_wavenumber_is_derived():
@@ -131,6 +131,49 @@ def test_bad_axes_rejected(axes):
     spacings = [1.0] * len(axes)
     with pytest.raises(GeometryError):
         build_uniform_array([0, 0], axes, counts, spacings, "transmit")
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+TILTS = [1e-3, 1e-6, 1e-9, 1e-12, -1e-12]
+E3 = np.eye(3)
+# Orthonormal inputs: near-axis lines and planes (the second row is exactly
+# orthogonal to the first before normalising), then seeded random rotations.
+COMPLEMENT_CASES = (
+    [[[1.0]], [[-1.0]], [[1.0, 0.0], [0.0, 1.0]]]
+    + [[_unit([np.cos(a), np.sin(a)])] for a in np.random.default_rng(1).uniform(-4, 4, 8)]
+    + [[_unit(E3[i] + t * E3[j])] for t in TILTS for i in range(3) for j in range(3) if i != j]
+    + [[_unit(E3[0] + t * (E3[1] + E3[2]))] for t in TILTS]
+    + [[_unit(E3[i] + t * E3[j]), _unit(E3[j] - t * E3[i])]
+       for t in TILTS for i, j in ((0, 1), (1, 2), (2, 0))]
+    + [list(np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))[0][:k])
+       for seed in range(6) for k in (1, 2)]
+)
+
+
+@pytest.mark.parametrize("axes", COMPLEMENT_CASES)
+def test_complement_is_orthonormal_and_perpendicular(axes):
+    axes = np.array(axes, dtype=float)
+    k, d = axes.shape
+    rows = _complement(axes)
+    assert rows.shape == (d - k, d)
+    full = np.vstack([axes, rows])
+    np.testing.assert_allclose(full @ full.T, np.eye(d), rtol=0, atol=1e-14)
+    if (k, d) == (1, 2):
+        np.testing.assert_array_equal(rows, [[-axes[0, 1], axes[0, 0]]])
+
+
+@pytest.mark.parametrize("axes, added", [
+    ([[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ([[0.0, -1.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+    ([[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+    ([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]]),
+])
+def test_complement_of_coordinate_axes_is_exact(axes, added):
+    np.testing.assert_array_equal(_complement(np.array(axes)), added)
 
 
 def test_bad_counts_and_spacings_rejected():

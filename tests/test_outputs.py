@@ -23,7 +23,7 @@ from nf_aliaser.floatfmt import python_formatted
 from nf_aliaser.outputs import (
     PAIR_ROWS,
     _grid_comments,
-    _pgm_text,
+    _write_pgm,
     _write_pairs_csv,
     fmt,
     write_field_csv,
@@ -183,14 +183,26 @@ class TestWriterBytes:
         assert (tmp_path / "f.pgm").read_bytes() == expected.encode("ascii")
 
 
+# The mask CSV writer and the PGM encoder write BAND_CELLS cells at a time:
+# bands of one cell, of part of a raster row, of one row, and of several rows
+# with a short last band, all against the per-value references.
+@pytest.mark.parametrize("band", [1, 7, 80, 1000])
+def test_writers_in_bands(tmp_path, monkeypatch, band):
+    monkeypatch.setattr(outputs, "BAND_CELLS", band)
+    writers = TestWriterBytes()
+    writers.test_mask_csv_and_pgm(tmp_path, "80x61")
+    writers.test_field_pgm(tmp_path, "80x61")
+
+
 # The PGM encoder against _reference_pgm: every gray level, rows of one cell,
 # rows wider than the level count, and constant masks.
 @pytest.mark.parametrize("width", [1, 2, 255, 383])
-def test_pgm_every_level(width):
+def test_pgm_every_level(tmp_path, width):
     height = -(-256 // width)
     pixels = np.resize(np.arange(256), width * height).reshape(width, height)
     assert set(pixels.ravel()) == set(range(256))
-    assert _pgm_text(pixels, "levels") == _reference_pgm(pixels, "levels").encode("ascii")
+    _write_pgm(tmp_path / "p.pgm", pixels, "levels")
+    assert (tmp_path / "p.pgm").read_bytes() == _reference_pgm(pixels, "levels").encode("ascii")
 
 
 @pytest.mark.parametrize("value", [False, True])
@@ -206,7 +218,8 @@ def test_pgm_level_out_of_range(tmp_path, monkeypatch, level):
     pixels = np.zeros((3, 2), dtype=int)
     pixels[1, 1] = level
     with pytest.raises(ValueError, match="0..255"):
-        _pgm_text(pixels, "bad")
+        _write_pgm(tmp_path / "p.pgm", pixels, "bad")
+    assert not (tmp_path / "p.pgm").exists()
     # A magnitude_db outside [floor_db, 0] rounds to that level.
     grid = EvalGrid([0.0, 0.0], [3.0, 2.0], (3, 2))
     field = ComplexField(grid=grid, values=np.ones((3, 2), complex),
@@ -315,6 +328,11 @@ FIG1_SCENE = Scene([1000.0, 1000.0])
 FIG1_GRID = EvalGrid([150.0, 150.0], [1850.0, 1850.0], (255, 255))
 # Three whole-grid float arrays.
 THREE_GRIDS = 3 * 8 * FIG1_GRID.num_cells
+# The perfbench long_array_mask geometry at seed 0: 1024-element arrays at 2
+# wavelengths on a 383 x 383 grid.
+LONG_TX = build_uniform_array([1000.0 - 1023.0, 0.0], [[1, 0]], [1024], [2.0], "transmit")
+LONG_RX = build_uniform_array([0.0, 1000.0 - 1023.0], [[0, 1]], [1024], [2.0], "receive")
+LONG_GRID = EvalGrid([100.0, 100.0], [1900.0, 1900.0], (383, 383))
 
 
 def _traced_peak(call):
@@ -361,3 +379,17 @@ class TestStagePeaks:
         peak = _traced_peak(lambda: aliasing_mask(FIG1_TX, FIG1_RX, FIG1_SCENE, WAVE,
                                                   FIG1_GRID, threads=1))
         assert peak < THREE_GRIDS
+
+    @pytest.fixture(scope="class")
+    def long_mask(self):
+        return aliasing_mask(LONG_TX, LONG_RX, FIG1_SCENE, WAVE, LONG_GRID).combined
+
+    def test_mask_pgm(self, tmp_path, long_mask):
+        peak = _traced_peak(lambda: write_mask_pgm(tmp_path / "m.pgm", "m", long_mask))
+        assert peak < 8 * long_mask.size
+
+    def test_mask_csv_holds_no_body(self, tmp_path, long_mask):
+        peak = _traced_peak(lambda: write_mask_csv(tmp_path / "m.csv", "m", long_mask,
+                                                   LONG_GRID, 1.0))
+        # The body is two bytes per cell.
+        assert peak < 2 * long_mask.size
