@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -206,10 +207,8 @@ def _kmax_lines(array: ArrayGeometry, scatterer: np.ndarray, eps: float, wavenum
     A cell whose running maximum m then fails _within_bound(wavenumber, m, d)
     is aliased on the axis whatever the other candidates give, so the roots
     and their neighbours are evaluated only for the cells still within the
-    bound: a compact gather of them when they are fewer than half the block,
-    the whole block otherwise. Those cells get the same maximum as
-    _kmax_layers; the others keep m, or get that maximum too when the whole
-    block is refined. Without a wavenumber every cell is refined.
+    bound, gathered. Those cells get the same maximum as _kmax_layers; the
+    others keep m. Without a wavenumber every cell is refined.
 
     The kernel, kernel(cells, batch=LINE_BATCH), evaluates the lines of one
     axis `batch` at a time as (batch, n) arrays in preallocated buffers, and folds
@@ -272,13 +271,10 @@ def _kmax_lines(array: ArrayGeometry, scatterer: np.ndarray, eps: float, wavenum
                 bests.append(kmax)
                 pending = (np.ones(n, dtype=bool) if wavenumber is None
                            else _within_bound(wavenumber, kmax, d))
-                size = int(np.count_nonzero(pending))
+                cells = np.flatnonzero(pending)
+                size = len(cells)
                 if not size:
                     continue
-                if 2 * size < n:
-                    cells = np.flatnonzero(pending)
-                else:
-                    cells, size = slice(None), n
                 # The subset's buffers are the first `size` cells' worth of
                 # the block's, read as (..., size) arrays.
                 sub_best, sub_g, sub_scratch = (
@@ -329,6 +325,69 @@ def _kmax_lines(array: ArrayGeometry, scatterer: np.ndarray, eps: float, wavenum
     return axes_idx, kernel
 
 
+def _upper_envelope(b: np.ndarray, m: np.ndarray, t0: float, t1: float) -> tuple:
+    """Knots (t, y) of max_i (b_i + m_i t) over [t0, t1], for np.interp. Sorted
+    by slope, a line no higher than its neighbours' crossing lies under their
+    maximum; each pass drops every such line at once, which keeps it."""
+    order = np.lexsort((b, m))  # of equal slopes, the last has the largest intercept
+    last = np.append(m[order][1:] != m[order][:-1], True)
+    b, m = b[order][last], m[order][last]
+    drop = True
+    while len(b) > 2 and np.any(drop):
+        drop = (b[1:-1] - b[:-2]) * (m[2:] - m[:-2]) <= (m[1:-1] - m[:-2]) * (b[2:] - b[:-2])
+        keep = np.concatenate(([True], ~drop, [True]))
+        b, m = b[keep], m[keep]
+    cross = (b[:-1] - b[1:]) / (m[1:] - m[:-1])
+    knots = np.concatenate(([t0], cross[(cross > t0) & (cross < t1)], [t1]))
+    line = np.searchsorted(cross, knots)
+    return knots, b[line] + m[line] * knots
+
+
+def _wedge_layer(array: ArrayGeometry, scatterer: np.ndarray, eps: float, k: float,
+                 grid: EvalGrid):
+    """(sampled axes, kernel(cells) -> (free,)) of a linear array in a 2D scene
+    from the envelopes of its elements' wedges, or None unless every cell
+    center lies strictly on one side of the array line and the band tau is
+    under r/10; cells within tau of an envelope get _kmax_lines' verdict. The
+    README derives the wedges and tau."""
+    sampled = array.sampled_axes()
+    if array.ndim != 2 or grid.ndim != 2 or len(sampled) != 1:
+        return None
+    (j,) = sampled
+    u, o, d = array.axes[j], array.origin, float(array.spacings[j])
+    (v,) = _complement(u)
+    outer = np.stack(np.meshgrid(grid.axis_centers(0)[[0, -1]],
+                                 grid.axis_centers(1)[[0, -1]]), axis=-1).reshape(-1, 2) - o
+    s = outer @ v
+    h, t1 = np.min(np.abs(s)), np.max(np.abs(s))
+    r = np.sqrt(np.max(np.square(outer @ u - [[0.0], [(array.counts[j] - 1) * d]]) + s * s))
+    tau = 1e-10 * r ** 3 / h ** 2 + 1e-9 * r if s.min() * s.max() > 0.0 else np.inf
+    if not 10.0 * tau < r:
+        return None
+    elements, _, _, (pu,) = _element_terms(array, scatterer, eps)
+    x = (elements - o) @ u
+    beta = 2.0 * np.pi / (k * d)
+    bounds = []  # slack = min over (sign, knots) of sign * a - max(sign * (x_e - T t))
+    for sign, big_u in ((1.0, pu + beta), (-1.0, pu - beta)):
+        live = np.abs(big_u) < 1.0
+        if live.any():
+            slope = -sign * big_u[live] / np.sqrt((1.0 - big_u[live]) * (1.0 + big_u[live]))
+            bounds.append((sign, _upper_envelope(sign * x[live], slope, h, t1)))
+    lines = cache(lambda: _kmax_lines(array, scatterer, eps, k)[1])
+
+    def kernel(cells: np.ndarray) -> tuple:
+        a, t = ((cells - o) @ np.array([u, v]).T).T
+        slack = np.full(len(cells), np.inf)
+        for sign, knots in bounds:
+            np.minimum(slack, sign * a - np.interp(np.abs(t), *knots), out=slack)
+        free, band = slack >= 0.0, np.abs(slack) <= tau
+        if band.any():
+            free[band] = _within_bound(k, lines()(cells[band])[0], d)
+        return (free,)
+
+    return sampled, kernel
+
+
 def aliasing_mask(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: WaveParams,
                   grid: EvalGrid, epsilon=None, threads: int = 1) -> AliasingMask:
     """Aliasing-free mask over a grid for both arrays.
@@ -339,25 +398,26 @@ def aliasing_mask(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: Wave
     """
     eps = exclusion_radius(wave, epsilon)
     k = wave.wavenumber
-    tx_axes, tx_kmax = _kmax_lines(tx, scene.scatterer, eps, k)
-    rx_axes, rx_kmax = _kmax_lines(rx, scene.scatterer, eps, k)
+
+    def layers_of(array: ArrayGeometry) -> tuple:
+        wedge = _wedge_layer(array, scene.scatterer, eps, k, grid)
+        axes, kmax = wedge or _kmax_lines(array, scene.scatterer, eps, k)
+        return axes, kmax if wedge else lambda cells: tuple(
+            _within_bound(k, km, array.spacings[j]) for j, km in zip(axes, kmax(cells)))
+
+    (tx_axes, tx_free), (rx_axes, rx_free) = layers_of(tx), layers_of(rx)
     # Line batches widen the numpy calls only on an axis with more than one
     # lattice line; with none, a second thread only contends for the
     # interpreter lock.
     if not any(a.num_elements > a.counts[j] for a in (tx, rx) for j in a.sampled_axes()):
         threads = 1
-    sampled = [("tx", tx, j) for j in tx_axes] + [("rx", rx, j) for j in rx_axes]
-
-    def kernel(cells: np.ndarray) -> tuple:
-        # Each block's verdicts, so that only boolean layers span the grid.
-        kmaxes = (*tx_kmax(cells), *rx_kmax(cells))
-        return tuple(_within_bound(k, km, array.spacings[j])
-                     for (_, array, j), km in zip(sampled, kmaxes))
-
-    excluded, *frees = _run_blocks(kernel, (tx, rx), grid, eps, threads)
+    sampled = [("tx", j) for j in tx_axes] + [("rx", j) for j in rx_axes]
+    # Each block's verdicts, so that only boolean layers span the grid.
+    excluded, *frees = _run_blocks(lambda cells: (*tx_free(cells), *rx_free(cells)), (tx, rx),
+                                   grid, eps, threads)
     usable = ~excluded
     layers = []
-    for (label, _, j), free in zip(sampled, frees):
+    for (label, j), free in zip(sampled, frees):
         free &= usable
         layers.append(MaskLayer(array_label=label, axis_index=j, free=free))
     return AliasingMask(grid=grid, layers=tuple(layers), excluded=excluded)

@@ -129,7 +129,7 @@ class ArrayGeometry:
         if not 1 <= n_axes <= 3 or n_axes > d:
             raise GeometryError(f"need 1..min(3, {d}) lattice axes, got {n_axes}")
         gram = axes @ axes.T
-        if not np.allclose(gram, np.eye(n_axes), atol=ORTHO_TOL):
+        if not np.allclose(gram, np.eye(n_axes), rtol=0.0, atol=ORTHO_TOL):
             raise GeometryError("lattice axes must be pairwise orthogonal unit vectors")
         if len(counts) != n_axes or any(c < 1 for c in counts):
             raise GeometryError(f"counts must give >= 1 element per lattice axis, got {counts}")

@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +18,10 @@ from nf_aliaser import (
     local_wavenumber,
     max_spatial_frequency,
 )
-from nf_aliaser import chirp
+from nf_aliaser import chirp, resolve_config
 from nf_aliaser.geometry import EvalGrid, min_element_distance
+from nf_aliaser.presets import preset_config
+from nf_aliaser.runner import _sweep_variant
 
 WAVE = WaveParams(1.0)
 K = WAVE.wavenumber
@@ -268,6 +273,38 @@ def _spy_line_roots(monkeypatch) -> list:
     return cells
 
 
+def _line_kernel_only(monkeypatch) -> None:
+    """Send every array to the line kernel, bypassing the wedge envelopes."""
+    monkeypatch.setattr(chirp, "_wedge_layer", lambda *args: None)
+
+
+def _exhaustive_only(monkeypatch) -> None:
+    """Decide every layer with the exhaustive scan."""
+    _line_kernel_only(monkeypatch)
+    monkeypatch.setattr(chirp, "_kmax_lines", chirp._kmax_layers)
+
+
+def _spy_line_kernel(monkeypatch) -> list:
+    """Record, per _kmax_lines built, its array and the cells of each kernel
+    call."""
+    builds = []
+    kmax_lines = chirp._kmax_lines
+
+    def spy(array, *args):
+        axes, kernel = kmax_lines(array, *args)
+        calls = []
+        builds.append((array, calls))
+
+        def recording(cells, *rest):
+            calls.append(cells)
+            return kernel(cells, *rest)
+
+        return axes, recording
+
+    monkeypatch.setattr(chirp, "_kmax_lines", spy)
+    return builds
+
+
 class TestLineKernel:
     def test_random_linear_arrays(self):
         rng = np.random.default_rng(41)
@@ -392,7 +429,7 @@ class TestLineKernel:
             scene = Scene([60.0, 70.0])
             grid = EvalGrid([0.0, 0.0], [150.0, 150.0], (96, 96))
         mask = aliasing_mask(tx, rx, scene, WAVE, grid)
-        monkeypatch.setattr(chirp, "_kmax_lines", chirp._kmax_layers)
+        _exhaustive_only(monkeypatch)
         reference = aliasing_mask(tx, rx, scene, WAVE, grid)
         np.testing.assert_array_equal(mask.excluded, reference.excluded)
         for layer, ref in zip(mask.layers, reference.layers):
@@ -425,16 +462,13 @@ class TestLineKernel:
         interior = np.flatnonzero(exact > ends)
         tie = interior[np.argsort(ends[interior], kind="stable")[len(interior) // 4]]
         bound = 2.0 * np.pi / d
-        wavelength = ends[tie] * d
-        for _ in range(64):
-            k = WaveParams(wavelength).wavenumber
-            if k * ends[tie] == bound:
-                break
-            wavelength = np.nextafter(wavelength, np.inf if k * ends[tie] > bound else 0.0)
+        wave = self._meeting(ends[tie], bound, d)
+        k = wave.wavenumber
         assert k * ends[tie] == bound
 
-        roots = _spy_line_roots(monkeypatch)
-        (kmax,) = chirp._kmax_lines(tx, scene.scatterer, 0.1, k)[1](cells)
+        with monkeypatch.context() as patch:
+            roots = _spy_line_roots(patch)
+            (kmax,) = chirp._kmax_lines(tx, scene.scatterer, 0.1, k)[1](cells)
         undecided = k * ends <= bound
         assert undecided[tie] and 0 < undecided.sum() < len(cells) / 2
         # One line, so one gather of the undecided cells reaches the roots.
@@ -443,10 +477,176 @@ class TestLineKernel:
         assert kmax[~undecided].tobytes() == ends[~undecided].tobytes()
         assert k * kmax[tie] > bound
 
-        wave = WaveParams(wavelength)
-        mask = aliasing_mask(tx, rx, scene, wave, grid, epsilon=0.1)
-        monkeypatch.setattr(chirp, "_kmax_lines", chirp._kmax_layers)
-        reference = aliasing_mask(tx, rx, scene, wave, grid, epsilon=0.1)
-        (layer,), (ref,) = mask.layers, reference.layers
-        np.testing.assert_array_equal(layer.free, ref.free)
-        assert not layer.free.flat[tie] and layer.free.any()
+        # In the mask, the wedge envelopes put this cell outside the free
+        # region, clear of the band, since an interior element exceeds the
+        # bound. Where the exact maximum meets the bound instead, the cell lies
+        # on an envelope, in the band, and the line kernel finds it free.
+        for meets, free_at_tie in ((ends[tie], False), (exact[tie], True)):
+            wave = self._meeting(meets, bound, d)
+            assert wave.wavenumber * meets == bound
+            with monkeypatch.context() as patch:
+                builds = _spy_line_kernel(patch)
+                mask = aliasing_mask(tx, rx, scene, wave, grid, epsilon=0.1)
+            with monkeypatch.context() as patch:
+                _exhaustive_only(patch)
+                reference = aliasing_mask(tx, rx, scene, wave, grid, epsilon=0.1)
+            (layer,), (ref,) = mask.layers, reference.layers
+            np.testing.assert_array_equal(layer.free, ref.free)
+            assert layer.free.flat[tie] == free_at_tie and layer.free.any()
+            band = np.vstack([np.empty((0, 2))]
+                             + [c for a, calls in builds if a is tx for c in calls])
+            assert (band == cells[tie]).all(axis=1).any() == free_at_tie
+
+    @staticmethod
+    def _meeting(kmax, bound, d):
+        """A wave whose wavenumber k meets k * kmax == bound exactly."""
+        wavelength = kmax * d
+        for _ in range(64):
+            wave = WaveParams(wavelength)
+            if wave.wavenumber * kmax == bound:
+                break
+            wavelength = np.nextafter(wavelength,
+                                      np.inf if wave.wavenumber * kmax > bound else 0.0)
+        return wave
+
+
+PERFBENCH_WORKLOADS = runpy.run_path(
+    str(Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"))["WORKLOADS"]
+
+
+def _linear_rows():
+    """(label, config, tx, rx, scene) of every 2D linear preset row and of the
+    linear benchmark geometries at seeds 0, 7 and 13."""
+    config = resolve_config(preset_config("fig1"))
+    yield "fig1", config, config.tx, config.rx, config.scene
+    for name, values in (("fig2a", (16, 64)), ("fig2c", (1,)),
+                         ("fig2b", ({"length_lambda": 250.0, "count": 32},
+                                    {"length_lambda": 1000.0, "count": 128}))):
+        config = resolve_config(preset_config(name))
+        for value in values:
+            tx, rx, scene, label = _sweep_variant(config, config.sweep_param, value)
+            yield f"{name}-{label}", config, tx, rx, scene
+    for name in ("fig1_run", "planar_sweep", "long_array_mask"):
+        for seed in (0, 7, 13):
+            config = resolve_config(PERFBENCH_WORKLOADS[name][0](seed))
+            tx, rx, scene = config.tx, config.rx, config.scene
+            if config.sweep_param:  # the 1d row of the dimensionality sweep
+                tx, rx, scene, _ = _sweep_variant(config, config.sweep_param, 1)
+            yield f"{name}-{seed}", config, tx, rx, scene
+
+
+class TestWedgeLayer:
+    @pytest.mark.parametrize("row", list(_linear_rows()), ids=lambda row: row[0])
+    def test_linear_rows_bit_identical_to_line_kernel(self, row, monkeypatch):
+        _, config, tx, rx, scene = row
+        eps = config.thresholds.epsilon(config.wave)
+        for array in (tx, rx):
+            assert chirp._wedge_layer(array, scene.scatterer, eps, config.wave.wavenumber,
+                                      config.grid) is not None
+        mask = aliasing_mask(tx, rx, scene, config.wave, config.grid, epsilon=eps)
+        _line_kernel_only(monkeypatch)
+        reference = aliasing_mask(tx, rx, scene, config.wave, config.grid, epsilon=eps)
+        for layer, ref in zip(mask.layers, reference.layers, strict=True):
+            assert layer.free.tobytes() == ref.free.tobytes()
+        assert mask.combined.tobytes() == reference.combined.tobytes()
+        assert 0 < mask.combined.sum() < mask.combined.size
+
+    def test_random_linear_arrays_bit_identical_to_line_kernel(self, monkeypatch):
+        # Tilted and axis-aligned lines, N = 2 to 300, wavelengths other than
+        # 1, scatterers on the array line and inside the window, and grids from
+        # 1e-3 to 30 away from the line, on either side.
+        rng = np.random.default_rng(67)
+        builds = _spy_line_kernel(monkeypatch)
+        eligible = band = 0
+        for trial in range(260):
+            wave = WaveParams(rng.uniform(0.5, 2.0))
+            n = 2 if trial % 5 == 0 else int(rng.integers(3, 300))
+            d = rng.uniform(0.4, 4.0) * wave.wavelength
+            u = np.array([1.0, 0.0]) if trial % 4 == 0 else _rotation(rng, 2)[0]
+            v = rng.choice([-1.0, 1.0]) * np.array([-u[1], u[0]])
+            o = rng.uniform(-50.0, 50.0, 2)
+            array = build_uniform_array(o, [u], [n], [d], "transmit")
+            length = (n - 1) * d
+            near = o + rng.uniform(-0.5, 1.2) * (length + 20.0) * u \
+                + 10.0 ** rng.uniform(-3.0, 1.5) * v
+            size, res = rng.uniform(5.0, 80.0, 2), rng.integers(6, 24, 2)
+            # The cell center nearest the line sits at `near`.
+            lo = np.where(v >= 0.0, near - size / res / 2, near + size / res / 2 - size)
+            grid = EvalGrid(lo, lo + size, tuple(int(r) for r in res))
+            kind = trial % 3
+            if kind == 0:  # on the array line, between elements or beyond its ends
+                scatterer = o + (rng.integers(-3, n + 2) + 0.5) * d * u
+            elif kind == 1:  # inside the window
+                scatterer = rng.uniform(grid.corner_min, grid.corner_max)
+            else:
+                scatterer = o + rng.uniform(-2.0, 2.0, 2) * (length + 20.0)
+            eps = 0.1 * wave.wavelength
+            if min_element_distance(array, scatterer) <= eps:
+                continue
+            k = wave.wavenumber
+            wedge = chirp._wedge_layer(array, scatterer, eps, k, grid)
+            if wedge is None:
+                continue
+            eligible += 1
+            cells = grid.cell_centers()
+            del builds[:]
+            (free,) = wedge[1](cells)
+            band += sum(len(c) for _, calls in builds for c in calls)
+            (kmax,) = chirp._kmax_lines(array, scatterer, eps, k)[1](cells)
+            assert free.tobytes() == chirp._within_bound(k, kmax, d).tobytes(), trial
+        assert eligible >= 200 and band > 0
+
+    def test_upper_envelope_is_the_maximum_of_its_lines(self):
+        # Random lines, most of them under the envelope, with repeated slopes
+        # and repeated lines.
+        rng = np.random.default_rng(71)
+        for trial in range(40):
+            n = int(rng.integers(1, 200))
+            b, m = rng.normal(size=n) * 10.0, rng.normal(size=n) ** 3
+            if trial % 2:
+                b, m = np.append(b, b[:n // 3] - 1.0), np.append(m, m[:n // 3])
+                b, m = np.append(b, b[:4]), np.append(m, m[:4])
+            t0, t1 = np.sort(rng.uniform(-5.0, 5.0, 2))
+            t = np.append(rng.uniform(t0, t1, 500), [t0, t1])
+            envelope = np.interp(t, *chirp._upper_envelope(b, m, t0, t1))
+            exact = np.max(b[:, None] + m[:, None] * t, axis=0)
+            assert np.max(np.abs(envelope - exact)) <= 1e-12 * np.max(np.abs(exact)), trial
+
+    def test_long_array_spares_the_line_kernel(self, monkeypatch):
+        # The long_array_mask geometry (seed 0): no cell lies in either band,
+        # so no line kernel is built.
+        config = resolve_config(PERFBENCH_WORKLOADS["long_array_mask"][0](0))
+        builds = _spy_line_kernel(monkeypatch)
+        mask = aliasing_mask(config.tx, config.rx, config.scene, config.wave, config.grid,
+                             epsilon=config.thresholds.epsilon(config.wave))
+        assert builds == []
+        assert 0 < mask.combined.sum() < mask.combined.size
+
+    @pytest.mark.parametrize("case", ["planar", "3d_scene", "straddling_grid",
+                                      "grid_at_the_line"])
+    def test_other_geometries_take_the_line_kernel(self, case, monkeypatch):
+        tx, rx, scene = FIG1_TX, FIG1_RX, FIG1_SCENE
+        if case == "planar":
+            tx, rx, scene, grid = _planar_sweep_2d()
+        elif case == "3d_scene":
+            tx = build_uniform_array([10.0, 0.0, 0.0], [[1, 0, 0]], [16], [2.0], "transmit")
+            rx = build_uniform_array([0.0, 10.0, 0.0], [[0, 1, 0]], [16], [2.0], "receive")
+            scene = Scene([30.0, 30.0, 5.0])
+            grid = EvalGrid([5.0, 5.0, 1.0], [60.0, 60.0, 9.0], (24, 24, 4))
+        elif case == "straddling_grid":
+            grid = EvalGrid([150.0, -300.0], [1850.0, 1850.0], (64, 64))
+        else:
+            # The first row of cell centers lies 1e-6 from the tx line: the
+            # band would be wider than the scene.
+            grid = EvalGrid([150.0, (128e-6 - 1850.0) / 127], [1850.0, 1850.0], (64, 64))
+            assert abs(grid.axis_centers(1)[0] - 1e-6) < 1e-9
+        builds = _spy_line_kernel(monkeypatch)
+        mask = aliasing_mask(tx, rx, scene, WAVE, grid)
+        lined = [array for array, calls in builds
+                 if sum(len(cells) for cells in calls) == grid.num_cells]
+        if case in ("straddling_grid", "grid_at_the_line"):
+            # The rx line (x = 0) still has the whole grid on one side.
+            assert lined == [tx]
+        else:
+            assert lined == [tx, rx]
+        assert 0 < mask.combined.sum() < mask.combined.size

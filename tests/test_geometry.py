@@ -125,6 +125,7 @@ def test_element_positions_deterministic():
     [[1, 0], [1, 0]],            # parallel
     [[1, 0], [0.6, 0.8001]],     # not orthogonal
     [[2, 0]],                    # not unit norm
+    [[1, 0.003]],                # norm 1.0000045: within a relative 1e-5 of 1
 ])
 def test_bad_axes_rejected(axes):
     counts = [2] * len(axes)
