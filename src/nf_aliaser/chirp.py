@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
 from .geometry import ArrayGeometry, EvalGrid, Scene, WaveParams, _complement
-from .imaging import _block_columns, _distance, _run_blocks, _scatterer_distances
+from .imaging import CELL_BLOCK, _block_columns, _distance, _run_blocks, _scatterer_distances
 from .wavefield import _checked_distance, exclusion_radius
 
 AliasingVerdict = namedtuple("AliasingVerdict", ["per_axis", "ok"])
@@ -345,11 +344,11 @@ def _upper_envelope(b: np.ndarray, m: np.ndarray, t0: float, t1: float) -> tuple
 
 def _wedge_layer(array: ArrayGeometry, scatterer: np.ndarray, eps: float, k: float,
                  grid: EvalGrid):
-    """(sampled axes, kernel(cells) -> (free,)) of a linear array in a 2D scene
+    """(sampled axis, grid-shaped free layer) of a linear array in a 2D scene
     from the envelopes of its elements' wedges, or None unless every cell
     center lies strictly on one side of the array line and the band tau is
     under r/10; cells within tau of an envelope get _kmax_lines' verdict. The
-    README derives the wedges and tau."""
+    README derives the wedges and tau, and the evaluation on the grid axes."""
     sampled = array.sampled_axes()
     if array.ndim != 2 or grid.ndim != 2 or len(sampled) != 1:
         return None
@@ -373,19 +372,28 @@ def _wedge_layer(array: ArrayGeometry, scatterer: np.ndarray, eps: float, k: flo
         if live.any():
             slope = -sign * big_u[live] / np.sqrt((1.0 - big_u[live]) * (1.0 + big_u[live]))
             bounds.append((sign, _upper_envelope(sign * x[live], slope, h, t1)))
-    lines = cache(lambda: _kmax_lines(array, scatterer, eps, k)[1])
 
-    def kernel(cells: np.ndarray) -> tuple:
-        a, t = ((cells - o) @ np.array([u, v]).T).T
-        slack = np.full(len(cells), np.inf)
+    rel = [grid.axis_centers(0)[:, None] - o[0], grid.axis_centers(1) - o[1]]
+
+    def project(w, rows):  # w . (c - o) on the rows, less any term whose w_i is 0
+        terms = [p * w_i for p, w_i in zip((rel[0][rows], rel[1]), w) if w_i != 0.0]
+        return sum(terms[1:], terms[0])
+
+    free, band = (np.empty(grid.resolution, dtype=bool) for _ in range(2))
+    step = max(1, CELL_BLOCK // grid.resolution[1])
+    for lo in range(0, grid.resolution[0], step):
+        rows = slice(lo, lo + step)
+        a, t = project(u, rows), np.abs(project(v, rows))
+        slack = np.inf
         for sign, knots in bounds:
-            np.minimum(slack, sign * a - np.interp(np.abs(t), *knots), out=slack)
-        free, band = slack >= 0.0, np.abs(slack) <= tau
-        if band.any():
-            free[band] = _within_bound(k, lines()(cells[band])[0], d)
-        return (free,)
-
-    return sampled, kernel
+            slack = np.minimum(slack, sign * a - np.interp(t, *knots))
+        np.greater_equal(slack, 0.0, out=free[rows])
+        np.less_equal(np.abs(slack), tau, out=band[rows])
+    if band.any():
+        near = np.nonzero(band)
+        cells = np.stack([grid.axis_centers(i)[n] for i, n in enumerate(near)], axis=-1)
+        free[near] = _within_bound(k, _kmax_lines(array, scatterer, eps, k)[1](cells)[0], d)
+    return j, free
 
 
 def aliasing_mask(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: WaveParams,
@@ -398,26 +406,25 @@ def aliasing_mask(tx: ArrayGeometry, rx: ArrayGeometry, scene: Scene, wave: Wave
     """
     eps = exclusion_radius(wave, epsilon)
     k = wave.wavenumber
+    wedges = [_wedge_layer(array, scene.scatterer, eps, k, grid) for array in (tx, rx)]
+    # The line kernels of the arrays the wedge path does not take, run per block.
+    lined = [(array, *_kmax_lines(array, scene.scatterer, eps, k))
+             for array, wedge in zip((tx, rx), wedges) if wedge is None]
 
-    def layers_of(array: ArrayGeometry) -> tuple:
-        wedge = _wedge_layer(array, scene.scatterer, eps, k, grid)
-        axes, kmax = wedge or _kmax_lines(array, scene.scatterer, eps, k)
-        return axes, kmax if wedge else lambda cells: tuple(
-            _within_bound(k, km, array.spacings[j]) for j, km in zip(axes, kmax(cells)))
+    def kernel(cells: np.ndarray) -> tuple:
+        return tuple(_within_bound(k, km, array.spacings[j])
+                     for array, axes, kmax in lined for j, km in zip(axes, kmax(cells)))
 
-    (tx_axes, tx_free), (rx_axes, rx_free) = layers_of(tx), layers_of(rx)
     # Line batches widen the numpy calls only on an axis with more than one
     # lattice line; with none, a second thread only contends for the
     # interpreter lock.
     if not any(a.num_elements > a.counts[j] for a in (tx, rx) for j in a.sampled_axes()):
         threads = 1
-    sampled = [("tx", j) for j in tx_axes] + [("rx", j) for j in rx_axes]
-    # Each block's verdicts, so that only boolean layers span the grid.
-    excluded, *frees = _run_blocks(lambda cells: (*tx_free(cells), *rx_free(cells)), (tx, rx),
-                                   grid, eps, threads)
-    usable = ~excluded
+    excluded, *frees = _run_blocks(kernel if lined else None, (tx, rx), grid, eps, threads)
+    frees, usable = iter(frees), ~excluded
     layers = []
-    for (label, j), free in zip(sampled, frees):
-        free &= usable
-        layers.append(MaskLayer(array_label=label, axis_index=j, free=free))
+    for label, array, wedge in zip(("tx", "rx"), (tx, rx), wedges):
+        for j, free in [wedge] if wedge else ((j, next(frees)) for j in array.sampled_axes()):
+            free &= usable
+            layers.append(MaskLayer(array_label=label, axis_index=j, free=free))
     return AliasingMask(grid=grid, layers=tuple(layers), excluded=excluded)

@@ -61,13 +61,21 @@ def _run_blocks(kernel, arrays, grid: EvalGrid, eps: float, threads: int) -> tup
     CELL_BLOCK cells whose centers are generated when the block runs, so
     memory for centers does not grow with the grid. Blocks run on
     min(threads, number of blocks) threads. Returns, shaped like the grid,
-    the flags of cells within eps of an element, then each kernel output.
-    """
+    the flags of cells within eps of an element, then each kernel output
+    (none for kernel None). A grid whose cell-center box lies farther than
+    eps (1 + 1e-9) from the box of each array's elements flags no cell
+    (computed distances are within a few ulps of the exact ones), so the
+    walk then skips the distances, and with kernel None runs no block."""
     for a in arrays:
         same_dimension(grid.corner_min, a.origin, f"grid and {a.role_tag} array")
-    nearest = _nearest_distance(arrays)
+    lo, hi = (np.array([grid.axis_centers(j)[end] for j in range(grid.ndim)]) for end in (0, -1))
+    clear = all(np.linalg.norm(np.maximum(np.maximum(lo - e.max(axis=0), e.min(axis=0) - hi), 0.0))
+                > eps * (1.0 + 1e-9) for e in (a.element_positions() for a in arrays))
     n = grid.num_cells
-    excluded = np.empty(n, dtype=bool)
+    if clear and kernel is None:
+        return (np.zeros(grid.resolution, dtype=bool),)
+    nearest = None if clear else _nearest_distance(arrays)
+    excluded = np.zeros(n, dtype=bool)
     outputs = []
     lock = threading.Lock()
 
@@ -80,8 +88,9 @@ def _run_blocks(kernel, arrays, grid: EvalGrid, eps: float, threads: int) -> tup
     def block(start: int) -> None:
         stop = min(start + CELL_BLOCK, n)
         cells = grid.cell_centers(start, stop)
-        part = kernel(cells)
-        excluded[start:stop] = nearest(cells) <= eps
+        part = kernel(cells) if kernel else ()
+        if nearest:
+            excluded[start:stop] = nearest(cells) <= eps
         with lock:
             if not outputs:
                 outputs.extend(np.empty(n, dtype=p.dtype) for p in part)

@@ -552,17 +552,23 @@ class TestWedgeLayer:
         assert 0 < mask.combined.sum() < mask.combined.size
 
     def test_random_linear_arrays_bit_identical_to_line_kernel(self, monkeypatch):
-        # Tilted and axis-aligned lines, N = 2 to 300, wavelengths other than
-        # 1, scatterers on the array line and inside the window, and grids from
-        # 1e-3 to 30 away from the line, on either side.
+        # Tilted lines and lines along +-e0 and +-e1 (on which a cell's line
+        # coordinate runs along grid axis 0 and 1 respectively), N = 2 to
+        # 300, wavelengths other than 1, scatterers on the array line and
+        # inside the window, and grids from 1e-3 to 30 away from the line, on
+        # either side.
         rng = np.random.default_rng(67)
         builds = _spy_line_kernel(monkeypatch)
         eligible = band = 0
+        directions = set()
         for trial in range(260):
             wave = WaveParams(rng.uniform(0.5, 2.0))
             n = 2 if trial % 5 == 0 else int(rng.integers(3, 300))
             d = rng.uniform(0.4, 4.0) * wave.wavelength
-            u = np.array([1.0, 0.0]) if trial % 4 == 0 else _rotation(rng, 2)[0]
+            if trial % 4 == 0:
+                u = rng.choice([-1.0, 1.0]) * np.eye(2)[rng.integers(2)]
+            else:
+                u = _rotation(rng, 2)[0]
             v = rng.choice([-1.0, 1.0]) * np.array([-u[1], u[0]])
             o = rng.uniform(-50.0, 50.0, 2)
             array = build_uniform_array(o, [u], [n], [d], "transmit")
@@ -584,17 +590,20 @@ class TestWedgeLayer:
             if min_element_distance(array, scatterer) <= eps:
                 continue
             k = wave.wavenumber
+            del builds[:]
             wedge = chirp._wedge_layer(array, scatterer, eps, k, grid)
             if wedge is None:
                 continue
             eligible += 1
-            cells = grid.cell_centers()
-            del builds[:]
-            (free,) = wedge[1](cells)
+            if trial % 4 == 0:
+                directions.add((tuple(u), v @ [1.0, 1.0] > 0.0))
             band += sum(len(c) for _, calls in builds for c in calls)
-            (kmax,) = chirp._kmax_lines(array, scatterer, eps, k)[1](cells)
-            assert free.tobytes() == chirp._within_bound(k, kmax, d).tobytes(), trial
+            assert wedge[0] == 0
+            (kmax,) = chirp._kmax_lines(array, scatterer, eps, k)[1](grid.cell_centers())
+            assert (wedge[1].tobytes()
+                    == chirp._within_bound(k, kmax, d).tobytes()), trial
         assert eligible >= 200 and band > 0
+        assert len(directions) == 8
 
     def test_upper_envelope_is_the_maximum_of_its_lines(self):
         # Random lines, most of them under the envelope, with repeated slopes
@@ -614,13 +623,17 @@ class TestWedgeLayer:
 
     def test_long_array_spares_the_line_kernel(self, monkeypatch):
         # The long_array_mask geometry (seed 0): no cell lies in either band,
-        # so no line kernel is built.
+        # so no line kernel is built, and the grid is clear of both arrays,
+        # so no cell center is generated either.
         config = resolve_config(PERFBENCH_WORKLOADS["long_array_mask"][0](0))
         builds = _spy_line_kernel(monkeypatch)
+        centers = []
+        monkeypatch.setattr(EvalGrid, "cell_centers", lambda *args: centers.append(args))
         mask = aliasing_mask(config.tx, config.rx, config.scene, config.wave, config.grid,
                              epsilon=config.thresholds.epsilon(config.wave))
-        assert builds == []
+        assert builds == [] and centers == []
         assert 0 < mask.combined.sum() < mask.combined.size
+        assert not mask.excluded.any()
 
     @pytest.mark.parametrize("case", ["planar", "3d_scene", "straddling_grid",
                                       "grid_at_the_line"])

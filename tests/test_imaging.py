@@ -552,6 +552,64 @@ class TestNearestDistance:
         np.testing.assert_array_equal(_nearest_distance((arr,))(cells), [0.0, 0.5, 5.0])
 
 
+# Eight elements along x at y = 0 (x = 0..7) and a second array far away.
+CLEAR_TX = build_uniform_array([0.0, 0.0], [[1, 0]], [8], [1.0], "transmit")
+CLEAR_RX = build_uniform_array([-40.0, -40.0], [[0, 1]], [5], [1.0], "receive")
+CLEAR_EPS = 0.1
+
+
+def _clearance_grid(gap: float, diagonal: bool) -> EvalGrid:
+    """A 12 x 9 grid of unit cells whose nearest cell center lies `gap` from
+    an element of CLEAR_TX: straight above element 3, or diagonally past the
+    end element at x = 7."""
+    if diagonal:
+        first = np.array([7.0, 0.0]) + gap / np.sqrt(2.0)
+    else:
+        first = np.array([0.0, gap])
+    return EvalGrid(first - 0.5, first + [11.5, 8.5], (12, 9))
+
+
+def _spy_nearest(monkeypatch) -> list:
+    """Record the arrays of every _nearest_distance built."""
+    built = []
+    nearest = imaging._nearest_distance
+
+    def spy(arrays):
+        built.append(arrays)
+        return nearest(arrays)
+
+    monkeypatch.setattr(imaging, "_nearest_distance", spy)
+    return built
+
+
+class TestClearance:
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["across", "past_the_end"])
+    @pytest.mark.parametrize("factor", [1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5])
+    def test_flags_match_the_nearest_distance(self, monkeypatch, factor, diagonal):
+        grid = _clearance_grid(CLEAR_EPS * factor, diagonal)
+        cells = grid.cell_centers()
+        arrays = (CLEAR_TX, CLEAR_RX)
+        near = _nearest_distance(arrays)(cells)
+        assert np.min(near) == pytest.approx(CLEAR_EPS * factor, rel=1e-14)
+        built = _spy_nearest(monkeypatch)
+        for kernel in (None, lambda c: (np.ones(len(c)),)):
+            excluded, *outputs = _run_blocks(kernel, arrays, grid, CLEAR_EPS, 2)
+            np.testing.assert_array_equal(excluded.ravel(), near <= CLEAR_EPS)
+            assert len(outputs) == (kernel is not None)
+        # Only a grid clear of the 1e-9 margin skips the nearest-element walk.
+        assert len(built) == (0 if factor == 1.5 else 2)
+        if factor != 1.0:  # at eps itself, rounding decides
+            assert excluded.any() == (factor < 1.0)
+
+    def test_clear_grid_with_no_kernel_builds_no_cells(self, monkeypatch):
+        built = _spy_nearest(monkeypatch)
+        monkeypatch.setattr(EvalGrid, "cell_centers", None)
+        grid = _clearance_grid(1.5 * CLEAR_EPS, True)
+        (excluded,) = _run_blocks(None, (CLEAR_TX, CLEAR_RX), grid, CLEAR_EPS, 1)
+        assert excluded.shape == grid.resolution and not excluded.any()
+        assert built == []
+
+
 def _random_cells(rng, dim):
     n = int(rng.integers(1, 3000))
     scale = 10.0 ** rng.uniform(-3, 4)
